@@ -71,11 +71,11 @@ func BenchmarkAblationCacheAwareRAs(b *testing.B) {
 		cache := s.CacheFor(d)
 		cacheBytes := uint64(cache.SizeBytes())
 		algs := []reorder.Algorithm{
-			reorder.NewSlashBurn(),
-			reorder.NewSlashBurnCacheAware(cacheBytes),
-			reorder.NewRabbitOrder(),
-			reorder.NewRabbitOrderCacheAware(cacheBytes),
-			reorder.NewHybrid(),
+			reorder.MustNew("sb"),
+			reorder.MustNew("sb", reorder.WithCacheBytes(cacheBytes)),
+			reorder.MustNew("ro"),
+			reorder.MustNew("ro", reorder.WithCacheBytes(cacheBytes)),
+			reorder.MustNew("hybrid"),
 		}
 		for _, alg := range algs {
 			b.Run(d.Name+"/"+alg.Name(), func(b *testing.B) {
@@ -274,7 +274,7 @@ func BenchmarkAblationCacheFraction(b *testing.B) {
 		}
 	}
 	g := s.Graph(web)
-	ro := s.Relabeled(web, reorder.NewRabbitOrder())
+	ro := s.Relabeled(web, reorder.MustNew("ro"))
 	for _, frac := range []float64{0.01, 0.02, 0.04, 0.08, 0.16} {
 		cfg := cachesim.ScaledL3(g.NumVertices(), frac)
 		b.Run(fmt.Sprintf("frac%.2f", frac), func(b *testing.B) {

@@ -179,7 +179,7 @@ Commands:
   bench       performance harness: bench parallel (experiment grid serial vs
               parallel -> BENCH_parallel.json), bench pipeline (batched vs
               scalar simulation stack -> BENCH_pipeline.json), bench multicore
-              (per-worker-count simulation + boba scaling, every row
+              (per-worker-count boba ordering scaling, every row
               cross-checked bit-exact -> BENCH_multicore.json), bench diff
               [-tolerance 1.5] <baseline> <current> (regression gate)
   serve       run localityd, the reorder/simulate daemon (admission control,
@@ -590,7 +590,7 @@ func cmdExperiment(args []string) error {
 	totalTimeout := fs.Duration("timeout", 0, "whole-run deadline (0 = none)")
 	heartbeat := fs.Duration("heartbeat", 0, "emit stage progress heartbeats to stderr at this interval (0 = off)")
 	parallel := fs.Int("parallel", runtime.NumCPU(),
-		"grid cells to run concurrently (1 = serial, byte-identical to the pre-scheduler output)")
+		"grid cells to run concurrently (1 = serial); output is byte-identical at every value")
 	manifestPath := fs.String("manifest", "", "write a JSON run manifest (stages, counters, timings) to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path at exit")
@@ -861,8 +861,8 @@ func cmdExperiment(args []string) error {
 // cmdBench dispatches the benchmark modes: "parallel" (the default, and
 // assumed when the first argument is a flag, for compatibility) compares
 // the experiment scheduler's serial and parallel passes; "pipeline" times
-// the simulation stack itself (see bench.go); "multicore" sweeps the
-// multicore simulation pipeline and boba across worker counts; "diff"
+// the simulation stack itself (see bench.go); "multicore" sweeps the boba
+// parallel ordering across worker counts; "diff"
 // gates a current report against a committed baseline.
 func cmdBench(args []string) error {
 	if len(args) > 0 {
@@ -905,9 +905,9 @@ func cmdBenchParallel(args []string) error {
 	}
 
 	// The grid covers the scheduler's main shapes: Table II (reorder
-	// stages), Table III (full simulations plus sharded miss-rate series),
-	// Table V (snapshotted simulations), and Fig. 1 (sharded
-	// miss-rate-by-degree analytics).
+	// stages), Table III (full simulations plus miss-rate series), Table V
+	// (snapshotted simulations), and Fig. 1 (miss-rate-by-degree
+	// analytics).
 	runGrid := func(parallel int) (time.Duration, error) {
 		s := expt.NewSession()
 		s.Ctrl = runctl.New(context.Background(), runctl.Config{})

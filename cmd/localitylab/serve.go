@@ -71,6 +71,28 @@ func buildVersion() string {
 	return "devel"
 }
 
+// localityd's HTTP timeouts. They bound how long a client may hold a
+// connection without sending a request: a slowloris client trickling its
+// header, a body that never arrives, or an idle keep-alive connection.
+// There is no WriteTimeout: a synchronous job legitimately keeps its
+// response open until the job's own deadline, which the daemon enforces.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveReadTimeout       = 30 * time.Second
+	serveIdleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server carrying the
+// timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 func cmdVersion(args []string) error {
 	fmt.Printf("localitylab %s %s %s/%s\n", buildVersion(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
 	return nil
@@ -131,7 +153,7 @@ func cmdServe(args []string) error {
 		srv.Close()
 		return fmt.Errorf("serve: %w", err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "localitylab: serving on %s\n", ln.Addr())

@@ -66,11 +66,3 @@ func SimulateSpMVNUMA(g graph.Topology, opts SimOptions, sockets int) NUMAResult
 	}
 	return res
 }
-
-// SimulateSpMVNUMACfg is the positional-argument form kept for older
-// callers.
-//
-// Deprecated: use SimulateSpMVNUMA with SimOptions.
-func SimulateSpMVNUMACfg(g *graph.Graph, cfg cachesim.Config, sockets, threads, interval int) NUMAResult {
-	return SimulateSpMVNUMA(g, SimOptions{Cache: cfg, Threads: threads, Interval: interval}, sockets)
-}

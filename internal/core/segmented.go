@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
 	"graphlocality/internal/cachesim"
@@ -38,10 +39,9 @@ func (r SegmentedResult) MissRate() float64 {
 //
 // g is any Topology (in-RAM or segment-backed). Honoured options:
 // Direction (default Pull, as the paper simulates), Threads and Interval
-// (the emulated interleaving), Cache, and Workers, which bounds the
-// number of segment replays running concurrently (0 = one goroutine per
-// segment). The replayed stream is materialized once, so the result is
-// identical for every Workers value.
+// (the emulated interleaving) and Cache. At most GOMAXPROCS segment
+// replays run at once, each holding its own cache; the replayed stream is
+// materialized once, so the result is identical at every GOMAXPROCS.
 func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) SegmentedResult {
 	if segments < 1 {
 		segments = 1
@@ -79,10 +79,7 @@ func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) Segm
 	res := SegmentedResult{Accesses: uint64(len(addrs)), Segments: segments}
 	per := (len(addrs) + segments - 1) / segments
 	misses := make([]uint64, segments)
-	var sem chan struct{}
-	if opts.Workers > 0 {
-		sem = make(chan struct{}, opts.Workers)
-	}
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for s := 0; s < segments; s++ {
 		lo := s * per
@@ -93,13 +90,10 @@ func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) Segm
 		if hi > len(addrs) {
 			hi = len(addrs)
 		}
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(s, lo, hi int) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
+			defer func() { <-sem; wg.Done() }()
 			c := cachesim.New(opts.Cache)
 			c.AccessBatch(addrs[lo:hi], writes[lo:hi], nil)
 			misses[s] = c.Stats().Misses
@@ -110,12 +104,4 @@ func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) Segm
 		res.Misses += m
 	}
 	return res
-}
-
-// SimulateSpMVSegmentedCfg is the positional-argument form kept for
-// older callers.
-//
-// Deprecated: use SimulateSpMVSegmented with SimOptions.
-func SimulateSpMVSegmentedCfg(g *graph.Graph, cfg cachesim.Config, threads, interval, segments int) SegmentedResult {
-	return SimulateSpMVSegmented(g, SimOptions{Cache: cfg, Threads: threads, Interval: interval}, segments)
 }

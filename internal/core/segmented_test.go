@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"graphlocality/internal/gen"
@@ -48,8 +49,8 @@ func TestSegmentedPreservesRelativeOrdering(t *testing.T) {
 	// The paper's key validation: the *relative* comparison between two
 	// reorderings survives the approximation (1.4% relative error there).
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<13, 8, 7))
-	ro := g.Relabel(reorder.Perm(reorder.NewRabbitOrder(), g))
-	sb := g.Relabel(reorder.Perm(reorder.NewSlashBurn(), g))
+	ro := g.Relabel(reorder.Perm(reorder.MustNew("ro"), g))
+	sb := g.Relabel(reorder.Perm(reorder.MustNew("sb"), g))
 	cfg := smallCache()
 
 	exactRO := SimulateSpMV(ro, SimOptions{Cache: cfg, Threads: 4}).Cache.Misses
@@ -81,26 +82,18 @@ func TestSegmentedDegenerateArgs(t *testing.T) {
 	}
 }
 
-// TestSimulateSpMVSegmentedCfgShim pins the deprecated positional form
-// to the SimOptions form: same arguments, identical result.
-func TestSimulateSpMVSegmentedCfgShim(t *testing.T) {
-	g := gen.SocialNetwork(10, 11, 4)
-	cfg := smallCache()
-	want := SimulateSpMVSegmented(g, SimOptions{Cache: cfg, Threads: 4, Interval: 128}, 4)
-	got := SimulateSpMVSegmentedCfg(g, cfg, 4, 128, 4)
-	if got != want {
-		t.Fatalf("shim diverged: %+v vs %+v", got, want)
-	}
-}
-
-// TestSegmentedWorkersBound: bounding real concurrency with Workers must
-// not change the result (the stream is materialized before replay).
+// TestSegmentedWorkersBound: the GOMAXPROCS bound on concurrent segment
+// replays must not change the result (the stream is materialized before
+// replay), whether the replays run one at a time or four at once.
 func TestSegmentedWorkersBound(t *testing.T) {
 	g := gen.SocialNetwork(10, 11, 6)
-	cfg := smallCache()
-	unbounded := SimulateSpMVSegmented(g, SimOptions{Cache: cfg, Threads: 4, Interval: 128}, 8)
-	bounded := SimulateSpMVSegmented(g, SimOptions{Cache: cfg, Threads: 4, Interval: 128, Workers: 1}, 8)
-	if unbounded != bounded {
-		t.Fatalf("Workers changed the segmented result: %+v vs %+v", bounded, unbounded)
+	opts := SimOptions{Cache: smallCache(), Threads: 4, Interval: 128}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	serial := SimulateSpMVSegmented(g, opts, 8)
+	runtime.GOMAXPROCS(4)
+	wide := SimulateSpMVSegmented(g, opts, 8)
+	if serial != wide {
+		t.Fatalf("GOMAXPROCS changed the segmented result: %+v at 1 vs %+v at 4", serial, wide)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 
 	"graphlocality/internal/cachesim"
 	"graphlocality/internal/graph"
@@ -24,14 +23,6 @@ type SimOptions struct {
 	// Threads emulated by the paper's two-phase parallel simulation; 1
 	// runs a sequential trace.
 	Threads int
-	// Workers is the number of real OS-level pipeline workers the
-	// simulation may use (distinct from Threads, which changes the
-	// *simulated* access stream; Workers never does). Workers > 1 runs the
-	// multicore pipeline (see simulateMulticore), which is bit-identical
-	// to the serial batched path for every option combination. 0 or 1 —
-	// or any value when GOMAXPROCS is 1 — runs the proven serial
-	// fall-through.
-	Workers int
 	// Interval is the per-thread access-interleaving interval (default
 	// 1024 accesses).
 	Interval int
@@ -96,13 +87,8 @@ type SimResult struct {
 //
 // It runs on the batched fast path (see simulateBatched), which is
 // bit-identical to — and several times faster than — the scalar reference
-// implementation SimulateSpMVReference. With opts.Workers > 1 (and more
-// than one core available) it runs the multicore pipeline instead, which
-// is bit-identical to both.
+// implementation SimulateSpMVReference.
 func SimulateSpMV(g graph.Topology, opts SimOptions) SimResult {
-	if opts.Workers > 1 && runtime.GOMAXPROCS(0) > 1 {
-		return simulateMulticore(g, opts)
-	}
 	return simulateBatched(g, opts)
 }
 

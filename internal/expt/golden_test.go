@@ -20,9 +20,10 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files under testdata/golden")
 
 // goldenSession is the shared serial Tiny session all live golden renders
-// use: Parallel=1 pins every output (including sharded analytics) to the
-// bit-exact serial path, and sharing one session means each reordering is
-// computed once for the whole suite.
+// use: every output is byte-identical at any Parallel value
+// (TestParallelSessionMatchesSerial checks that), Parallel=1 keeps the
+// renders on one goroutine, and sharing one session means each reordering
+// is computed once for the whole suite.
 var (
 	goldenOnce sync.Once
 	goldenSess *Session

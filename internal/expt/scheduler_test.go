@@ -2,6 +2,7 @@ package expt
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -64,11 +65,16 @@ func TestGridRowMajor(t *testing.T) {
 // Parallel=8 session must render byte-identical deterministic outputs to a
 // serial session. (Tables with wall-clock columns are excluded — Elapsed is
 // inherently non-reproducible — matching the CSV outputs the driver diffs.)
+// GOMAXPROCS is raised to 4 so the parallel session really fans out, and
+// any per-cell work that depends on the core count shows, even on a
+// single-core machine.
 func TestParallelSessionMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	serial, ds := tinySession()
 	par, _ := tinySession()
 	par.Parallel = 8
 	algs := StandardAlgorithms()
+	social, web := ds[0], ds[1]
 
 	type render struct {
 		name string
@@ -78,6 +84,17 @@ func TestParallelSessionMatchesSerial(t *testing.T) {
 		{"table3", func(s *Session) string { return RenderTableIII(TableIII(s, ds, algs)) }},
 		{"table5", func(s *Session) string { return RenderTableV(TableV(s, ds, algs)) }},
 		{"fig1", func(s *Session) string { return RenderSeries("Fig1", Fig1(s, ds[0], algs)) }},
+		{"fig3", func(s *Session) string {
+			var out string
+			for _, d := range ds {
+				out += RenderSeries("Fig3 ("+d.Name+")", Fig3(s, d))
+			}
+			return out
+		}},
+		{"utilization", func(s *Session) string {
+			return RenderUtilization(UtilizationExperiment(s, []Dataset{social, web}, algs))
+		}},
+		{"brew", func(s *Session) string { return RenderBrew(BrewExperiment(s, []Dataset{social, web})) }},
 	}
 	for _, r := range renders {
 		want := r.fn(serial)

@@ -9,9 +9,10 @@ import (
 	"graphlocality/internal/gen"
 )
 
-// TestMulticorePass runs the multicore sweep on a tiny workload and checks
-// the report shape: one timing row per (kind, workload, worker count), one
-// speedup row per worker count above 1, and GOMAXPROCS restored afterward.
+// TestMulticorePass runs the boba multicore sweep on a tiny workload and
+// checks the report shape: one timing row per (workload, worker count),
+// one speedup row per worker count above 1, no rows of any other kind, and
+// GOMAXPROCS restored afterward.
 // The pass's built-in DeepEqual cross-checks make a passing run a
 // bit-exactness statement too; a divergence would surface as an error here.
 func TestMulticorePass(t *testing.T) {
@@ -25,17 +26,18 @@ func TestMulticorePass(t *testing.T) {
 	if got := runtime.GOMAXPROCS(0); got != before {
 		t.Errorf("GOMAXPROCS = %d after pass, want %d restored", got, before)
 	}
-	for _, kind := range []string{"simulate", "boba"} {
-		for _, wc := range counts {
-			name := fmt.Sprintf("multicore/%s/tiny/w=%d", kind, wc)
-			if _, ok := r.Find(name); !ok {
-				t.Errorf("missing benchmark %s", name)
-			}
-			_, hasSpeedup := r.FindSpeedup(name)
-			if wantSpeedup := wc > 1; hasSpeedup != wantSpeedup {
-				t.Errorf("speedup entry for %s: present=%v, want %v", name, hasSpeedup, wantSpeedup)
-			}
+	for _, wc := range counts {
+		name := fmt.Sprintf("multicore/boba/tiny/w=%d", wc)
+		if _, ok := r.Find(name); !ok {
+			t.Errorf("missing benchmark %s", name)
 		}
+		_, hasSpeedup := r.FindSpeedup(name)
+		if wantSpeedup := wc > 1; hasSpeedup != wantSpeedup {
+			t.Errorf("speedup entry for %s: present=%v, want %v", name, hasSpeedup, wantSpeedup)
+		}
+	}
+	if len(r.Benchmarks) != len(counts) {
+		t.Errorf("report has %d benchmarks, want %d boba rows", len(r.Benchmarks), len(counts))
 	}
 	for _, s := range r.Speedups {
 		if s.Speedup <= 0 {
@@ -46,7 +48,7 @@ func TestMulticorePass(t *testing.T) {
 
 // TestMulticoreDefaultsWorkerLadder pins the ladder contract: it starts at
 // 1 (the baseline every speedup is relative to) and always includes 2, so
-// the parallel pipeline runs even on a single-core machine; and a caller
+// the parallel ordering runs even on a single-core machine; and a caller
 // list not starting at 1 gets the baseline prepended.
 func TestMulticoreDefaultsWorkerLadder(t *testing.T) {
 	counts := DefaultWorkerCounts()

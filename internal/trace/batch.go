@@ -131,20 +131,10 @@ type ColumnSink func(addrs []uint64, writes []bool, edgeReads int) bool
 // attribution) simulation fast path. It reports whether the traversal ran
 // to completion.
 func RunColumns(g graph.Topology, l Layout, dir Direction, blockSize int, sink ColumnSink) bool {
-	return RunRangeColumns(g, l, dir, graph.Range{Lo: 0, Hi: g.NumVertices()}, blockSize, sink)
-}
-
-// RunRangeColumns generates RunRange's sub-stream for the vertices in
-// [r.Lo, r.Hi) in columnar blocks, mirroring RunColumns. Like
-// RunRangeBatched, concatenating the blocks of a partition of [0, |V|)
-// reproduces the full columnar stream exactly — the multicore simulation
-// pipeline's chunk producers rely on that property. It reports whether the
-// traversal ran to completion.
-func RunRangeColumns(g graph.Topology, l Layout, dir Direction, r graph.Range, blockSize int, sink ColumnSink) bool {
 	if blockSize < 1 {
 		blockSize = DefaultBatchSize
 	}
-	it := newBulkIter(g, l, dir, r)
+	it := newBulkIter(g, l, dir, graph.Range{Lo: 0, Hi: g.NumVertices()})
 	addrs := make([]uint64, blockSize)
 	writes := make([]bool, blockSize)
 	for !it.done {

@@ -63,8 +63,7 @@ func RunUntil(g *graph.Graph, l Layout, dir Direction, sink BoundedSink) bool {
 
 // RunRange generates exactly the sub-stream of accesses Run emits while
 // processing the vertices in [r.Lo, r.Hi), in the same order. Concatenating
-// the streams of a partition of [0, |V|) reproduces Run's stream exactly;
-// sharded analyses use it to split a trace scan across goroutines.
+// the streams of a partition of [0, |V|) reproduces Run's stream exactly.
 func RunRange(g *graph.Graph, l Layout, dir Direction, r graph.Range, sink Sink) {
 	gen := newVertexIter(g, l, dir, r)
 	for {
