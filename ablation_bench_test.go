@@ -108,7 +108,7 @@ func BenchmarkIHTL(b *testing.B) {
 		b.Run(d.Name, func(b *testing.B) {
 			var plain, flipped uint64
 			for i := 0; i < b.N; i++ {
-				plain = count(func(sk trace.Sink) { trace.Run(g, trace.NewLayout(g), trace.Pull, sk) })
+				plain = core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses
 				flipped = count(func(sk trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), sk) })
 			}
 			b.ReportMetric(float64(plain)/1e3, "plainKmiss")
@@ -171,7 +171,7 @@ func BenchmarkHilbertCOO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hm = count(func(sk trace.Sink) { sfc.Trace(hilbert, l, sk) })
 		rm = count(func(sk trace.Sink) { sfc.Trace(row, l, sk) })
-		pm = count(func(sk trace.Sink) { trace.Run(g, l, trace.Pull, sk) })
+		pm = core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses
 	}
 	b.ReportMetric(float64(hm)/1e3, "hilbertKmiss")
 	b.ReportMetric(float64(rm)/1e3, "rowKmiss")
@@ -201,10 +201,13 @@ func BenchmarkAblationHierarchy(b *testing.B) {
 	var filter float64
 	for i := 0; i < b.N; i++ {
 		h := cachesim.NewHierarchy(mk("L1", 704), mk("L2", 22), l3)
-		trace.Run(g, l, trace.Pull, func(a trace.Access) {
-			if a.Kind == trace.KindVertexRead {
-				h.Access(a.Addr, a.Write)
+		trace.RunBatched(g, l, trace.Pull, 1, 0, func(_ int, block []trace.Access) bool {
+			for _, a := range block {
+				if a.Kind == trace.KindVertexRead {
+					h.Access(a.Addr, a.Write)
+				}
 			}
+			return true
 		})
 		l1 := h.LevelStats(0)
 		l2 := h.LevelStats(1)

@@ -6,6 +6,7 @@ import (
 
 	"graphlocality/internal/analytics"
 	"graphlocality/internal/cachesim"
+	"graphlocality/internal/core"
 	"graphlocality/internal/ihtl"
 	"graphlocality/internal/spmv"
 	"graphlocality/internal/trace"
@@ -106,7 +107,7 @@ func cmdIHTL(args []string) error {
 		run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
 		return c.Stats().Misses
 	}
-	plain := count(func(s trace.Sink) { trace.Run(g, trace.NewLayout(g), trace.Pull, s) })
+	plain := core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses
 	blocked := count(func(s trace.Sink) { ihtl.Trace(b, ihtl.NewLayout(b), s) })
 	fmt.Printf("simulated L3 misses: plain pull %d, iHTL %d (%.1f%% fewer)\n",
 		plain, blocked, 100*(1-float64(blocked)/float64(plain)))

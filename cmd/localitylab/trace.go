@@ -84,7 +84,12 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	c := cachesim.New(cfg)
-	trace.Replay(logs, *interval, func(a trace.Access) { c.Access(a.Addr, a.Write) })
+	trace.Replay(logs, *interval, func(_ int, block []trace.Access) bool {
+		for _, a := range block {
+			c.Access(a.Addr, a.Write)
+		}
+		return true
+	})
 	st := c.Stats()
 	fmt.Printf("%s %d sets x %d ways (%d KiB), prefetch=%v\n",
 		policy, cfg.Sets, cfg.Ways, cfg.SizeBytes()/1024, *prefetch)

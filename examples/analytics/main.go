@@ -9,6 +9,7 @@ import (
 
 	"graphlocality/internal/analytics"
 	"graphlocality/internal/cachesim"
+	"graphlocality/internal/core"
 	"graphlocality/internal/gen"
 	"graphlocality/internal/ihtl"
 	"graphlocality/internal/reorder"
@@ -65,9 +66,9 @@ func main() {
 		run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
 		return c.Stats().Misses
 	}
-	plain := count(func(s trace.Sink) { trace.Run(g, trace.NewLayout(g), trace.Pull, s) })
+	plain := core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses
 	ro := g.Relabel(reorder.Perm(reorder.MustNew("ro"), g))
-	roMiss := count(func(s trace.Sink) { trace.Run(ro, trace.NewLayout(ro), trace.Pull, s) })
+	roMiss := core.SimulateSpMV(ro, core.SimOptions{Cache: cfg}).Cache.Misses
 	blocked := ihtl.Build(g, ihtl.Config{CacheBytes: uint64(cfg.SizeBytes() / 2)})
 	ihtlMiss := count(func(s trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), s) })
 	fmt.Printf("  plain pull:    %8d\n", plain)

@@ -402,21 +402,6 @@ func (c *Cache) victim(base int, set uint64) int {
 	return base + best
 }
 
-// Contains reports whether addr's line is currently cached, without
-// updating any state. Used by tests and by the ECS scanner.
-func (c *Cache) Contains(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := line & c.setMask
-	tag := line >> c.setBits
-	base := int(set) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Snapshot calls fn with the base address of every valid line. It performs
 // no state updates; the paper's ECS metric periodically scans cache
 // contents this way (§VI-F).

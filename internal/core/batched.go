@@ -7,20 +7,15 @@ import (
 	"graphlocality/internal/trace"
 )
 
-// simBatchSize is the block granularity of the batched simulation: the
-// trace generator delivers blocks of this many accesses, the cache and TLB
-// consume them through AccessBatch, and the context is polled once per
-// block (so effective cancellation granularity is one block, on the order
-// of runctl.DefaultPollInterval accesses).
-const simBatchSize = trace.DefaultBatchSize
-
 // simulateBatched is the batched fast path behind SimulateSpMV. It
 // produces a SimResult bit-identical to SimulateSpMVReference for every
 // policy, direction, prefetch and snapshot setting (the differential suite
 // enforces this) while avoiding all per-access call overhead:
 //
-//   - the access stream arrives in trace.DefaultBatchSize blocks
-//     (RunBatched / RunParallelBatched) instead of one sink call per access;
+//   - the access stream arrives in blocks of up to trace.DefaultBatchSize
+//     accesses (RunColumns, or RunBatched when threads or per-vertex
+//     attribution need Access records) instead of one sink call per
+//     access;
 //   - the cache and TLB consume each block through AccessBatch, which
 //     hoists geometry and folds statistics once per block;
 //   - per-vertex attribution and bytes-touched accounting run as tight
@@ -30,18 +25,11 @@ const simBatchSize = trace.DefaultBatchSize
 //     scalar path.
 //
 // Cancellation is coarser than the scalar path's PollEvery: the context is
-// checked once per block, and a canceled run's counters cover a whole
-// number of blocks.
+// checked once per block (on the order of runctl.DefaultPollInterval
+// accesses), and a canceled run's counters cover a whole number of
+// blocks.
 func simulateBatched(g graph.Topology, opts SimOptions) SimResult {
-	if opts.Threads < 1 {
-		opts.Threads = 1
-	}
-	if opts.Interval < 1 {
-		opts.Interval = 1024
-	}
-	if opts.Cache == (cachesim.Config{}) {
-		opts.Cache = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-	}
+	opts = opts.withDefaults(g)
 	cache := cachesim.New(opts.Cache)
 	var tlb *cachesim.TLB
 	if opts.TLB != nil {
@@ -73,11 +61,11 @@ func simulateBatched(g graph.Topology, opts SimOptions) SimResult {
 		randKind = trace.KindVertexWrite
 	}
 
-	addrs := make([]uint64, simBatchSize)
-	writes := make([]bool, simBatchSize)
+	addrs := make([]uint64, trace.DefaultBatchSize)
+	writes := make([]bool, trace.DefaultBatchSize)
 	var hits []bool
 	if opts.PerVertex {
-		hits = make([]bool, simBatchSize)
+		hits = make([]bool, trace.DefaultBatchSize)
 	}
 
 	snapshot := func() {
@@ -126,7 +114,7 @@ func simulateBatched(g graph.Topology, opts SimOptions) SimResult {
 	// attribution wants the Vertex/Dest/Kind fields): the block is
 	// transposed into the scratch columns, then handled like processColumns
 	// with the attribution loop folded in per sub-block.
-	process := func(block []trace.Access) bool {
+	process := func(_ int, block []trace.Access) bool {
 		for len(block) > 0 {
 			sub := block
 			if opts.SnapshotEvery > 0 {
@@ -172,13 +160,10 @@ func simulateBatched(g graph.Topology, opts SimOptions) SimResult {
 		return poll.Check() == nil
 	}
 
-	switch {
-	case opts.Threads == 1 && !opts.PerVertex:
-		res.Canceled = !trace.RunColumns(g, layout, opts.Direction, simBatchSize, processColumns)
-	case opts.Threads == 1:
-		res.Canceled = !trace.RunBatched(g, layout, opts.Direction, simBatchSize, process)
-	default:
-		res.Canceled = !trace.RunParallelBatched(g, layout, opts.Direction, opts.Threads, opts.Interval, simBatchSize, process)
+	if opts.Threads == 1 && !opts.PerVertex {
+		res.Canceled = !trace.RunColumns(g, layout, opts.Direction, trace.DefaultBatchSize, processColumns)
+	} else {
+		res.Canceled = !trace.RunBatched(g, layout, opts.Direction, opts.Threads, opts.Interval, process)
 	}
 
 	res.Cache = cache.Stats()

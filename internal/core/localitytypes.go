@@ -22,8 +22,8 @@ import (
 //   - Type V: like III across threads (only in parallel profiles).
 //
 // Types IV and V depend on partitioning and scheduling rather than on the
-// reordering algorithm (§IV-D), which ClassifyLocalityTypesParallel makes
-// measurable.
+// reordering algorithm (§IV-D), which a multi-threaded
+// ClassifyLocalityTypes makes measurable.
 type TypeProfile struct {
 	TypeI   uint64
 	TypeII  uint64
@@ -39,69 +39,50 @@ type TypeProfile struct {
 // cache line. It is an analysis tool, not a cache simulation: every line
 // reuse is counted regardless of whether a finite cache would have
 // retained it.
-func ClassifyLocalityTypes(g *graph.Graph, lineSize int) TypeProfile {
-	layout := trace.NewLayout(g)
-	classifier := newTypeClassifier(g.NumVertices(), lineSize, nil)
-	trace.Run(g, layout, trace.Pull, classifier.observe)
-	return classifier.profile
-}
-
-// ClassifyLocalityTypesParallel classifies reuses of the interleaved
-// parallel stream: accesses are attributed to emulated threads by the
-// edge-balanced partition of the destination vertex, and a reuse whose
-// previous line use came from another thread counts as type IV (same
-// data element) or type V (different element, same line).
-func ClassifyLocalityTypesParallel(g *graph.Graph, lineSize, threads, interval int) TypeProfile {
-	layout := trace.NewLayout(g)
-	ranges := g.PartitionEdgeBalancedIn(threads)
-	threadOf := make([]uint8, g.NumVertices())
-	for t, r := range ranges {
-		for v := r.Lo; v < r.Hi; v++ {
-			threadOf[v] = uint8(t)
-		}
+//
+// threads and interval shape the emulated parallel stream as in
+// SimulateSpMV. Each access belongs to the emulated thread that issued it
+// (the edge-balanced partition of its destination vertex), and a reuse
+// whose previous line use came from another thread counts as type IV
+// (same data element) or type V (different element, same line). At
+// threads <= 1 there are no cross-thread reuses.
+func ClassifyLocalityTypes(g graph.Topology, lineSize, threads, interval int) TypeProfile {
+	c := typeClassifier{
+		lineSize:   uint64(lineSize),
+		seenVertex: make([]bool, g.NumVertices()),
+		last:       make(map[uint64]lastUse),
 	}
-	classifier := newTypeClassifier(g.NumVertices(), lineSize, threadOf)
-	trace.RunParallel(g, layout, trace.Pull, threads, interval, classifier.observe)
-	return classifier.profile
+	trace.RunBatched(g, trace.NewLayout(g), trace.Pull, threads, interval, func(thread int, block []trace.Access) bool {
+		for _, a := range block {
+			c.observe(thread, a)
+		}
+		return true
+	})
+	return c.profile
 }
 
-// typeClassifier holds the shared classification logic of the serial and
-// parallel profiles.
+// typeClassifier holds the classification state of one traversal.
 type typeClassifier struct {
 	profile    TypeProfile
 	lineSize   uint64
 	seenVertex []bool
 	last       map[uint64]lastUse
-	threadOf   []uint8 // nil for serial profiles
 }
 
 type lastUse struct {
 	dest   uint32 // destination vertex being processed at last use
-	thread uint8
+	thread int
 }
 
-func newTypeClassifier(n uint32, lineSize int, threadOf []uint8) *typeClassifier {
-	return &typeClassifier{
-		lineSize:   uint64(lineSize),
-		seenVertex: make([]bool, n),
-		last:       make(map[uint64]lastUse),
-		threadOf:   threadOf,
-	}
-}
-
-func (c *typeClassifier) observe(a trace.Access) {
+func (c *typeClassifier) observe(thread int, a trace.Access) {
 	if a.Kind != trace.KindVertexRead {
 		return
 	}
 	curDest := a.Dest
-	var curThread uint8
-	if c.threadOf != nil {
-		curThread = c.threadOf[curDest]
-	}
 	c.profile.Total++
 	line := a.Addr / c.lineSize
 	lu, ok := c.last[line]
-	crossThread := c.threadOf != nil && ok && lu.thread != curThread
+	crossThread := ok && lu.thread != thread
 	switch {
 	case !ok:
 		c.profile.Cold++
@@ -122,6 +103,6 @@ func (c *typeClassifier) observe(a trace.Access) {
 		// reuse through a line-sharing neighbour.
 		c.profile.TypeIII++
 	}
-	c.last[line] = lastUse{dest: curDest, thread: curThread}
+	c.last[line] = lastUse{dest: curDest, thread: thread}
 	c.seenVertex[a.Vertex] = true
 }

@@ -15,48 +15,36 @@ type NUMAResult struct {
 }
 
 // SimulateSpMVNUMA models the paper's 2-socket machine shape: the
-// emulated workers are split evenly across `sockets`, each socket has its
-// own shared L3 of the given geometry, and each worker's accesses go to
-// its socket's cache. Compared to the single-cache simulation this
-// exposes the cost of splitting the shared working set: vertex data hot
-// on both sockets occupies lines in both caches.
+// emulated workers are split evenly across `sockets` (thread t runs on
+// socket t*sockets/Threads), each socket has its own shared L3 of the
+// given geometry, and each worker's accesses go to its socket's cache.
+// Compared to the single-cache simulation this exposes the cost of
+// splitting the shared working set: vertex data hot on both sockets
+// occupies lines in both caches.
 //
 // g is any Topology (in-RAM or segment-backed). Honoured options:
 // Direction (default Pull), Threads (raised to at least `sockets`),
-// Interval (replay slice granularity, default 1024) and Cache.
+// Interval (interleaving granularity, default 1024) and Cache.
 func SimulateSpMVNUMA(g graph.Topology, opts SimOptions, sockets int) NUMAResult {
-	if sockets < 1 {
-		sockets = 1
-	}
-	if opts.Threads < sockets {
-		opts.Threads = sockets
-	}
-	if opts.Interval < 1 {
-		opts.Interval = 1024
-	}
-	if opts.Cache == (cachesim.Config{}) {
-		opts.Cache = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-	}
+	sockets = max(sockets, 1)
+	opts = opts.withDefaults(g)
+	opts.Threads = max(opts.Threads, sockets)
 	caches := make([]*cachesim.Cache, sockets)
 	for i := range caches {
 		caches[i] = cachesim.New(opts.Cache)
 	}
-	layout := trace.NewLayout(g)
-	logs := trace.CollectLogs(g, layout, opts.Direction, opts.Threads)
-	perSocket := (opts.Threads + sockets - 1) / sockets
-	// Each replayed interval slice belongs to one thread — and therefore to
-	// one socket — so the whole slice feeds that socket's cache in a single
-	// batched call. Scratch buffers are reused across slices.
-	addrs := make([]uint64, 0, opts.Interval)
-	writes := make([]bool, 0, opts.Interval)
-	trace.ReplayBatched(logs, opts.Interval, func(thread int, block []trace.Access) {
-		addrs = addrs[:0]
-		writes = writes[:0]
-		for _, a := range block {
-			addrs = append(addrs, a.Addr)
-			writes = append(writes, a.Write)
+	// A block never spans two threads — and therefore two sockets — so
+	// each block feeds its socket's cache in a single batched call.
+	// Scratch buffers are reused across blocks.
+	addrs := make([]uint64, trace.DefaultBatchSize)
+	writes := make([]bool, trace.DefaultBatchSize)
+	trace.RunBatched(g, trace.NewLayout(g), opts.Direction, opts.Threads, opts.Interval, func(thread int, block []trace.Access) bool {
+		for i, a := range block {
+			addrs[i] = a.Addr
+			writes[i] = a.Write
 		}
-		caches[thread/perSocket].AccessBatch(addrs, writes, nil)
+		caches[thread*sockets/opts.Threads].AccessBatch(addrs[:len(block)], writes[:len(block)], nil)
+		return true
 	})
 	var res NUMAResult
 	for _, c := range caches {

@@ -64,3 +64,27 @@ func TestSimulateSpMVNUMADegenerateArgs(t *testing.T) {
 		t.Error("default-config NUMA run produced no misses")
 	}
 }
+
+func TestSimulateSpMVNUMAUnevenSplit(t *testing.T) {
+	// 5 threads on 4 sockets: no socket may be left idle.
+	g := gen.SocialNetwork(10, 8, 1)
+	res := SimulateSpMVNUMA(g, SimOptions{Cache: smallCache(), Threads: 5}, 4)
+	for s, st := range res.Sockets {
+		if st.Accesses == 0 {
+			t.Errorf("socket %d idle: %+v", s, res.Sockets)
+		}
+	}
+}
+
+func TestSimulateSpMVNUMAOneSocketMatchesReference(t *testing.T) {
+	// One socket is one shared cache: the scalar oracle's counters.
+	g := gen.SocialNetwork(10, 8, 1)
+	for _, threads := range []int{1, 3, 4} {
+		opts := SimOptions{Cache: smallCache(), Threads: threads, Interval: 100}
+		want := SimulateSpMVReference(g, opts).Cache
+		got := SimulateSpMVNUMA(g, opts, 1)
+		if len(got.Sockets) != 1 || got.Sockets[0] != want {
+			t.Errorf("threads=%d: socket stats %+v, want %+v", threads, got.Sockets, want)
+		}
+	}
+}

@@ -21,7 +21,7 @@ type ReuseProfile struct {
 // vertex-data accesses of one SpMV traversal over g, at the given
 // line-size granularity. Exact stack distances are computed with a
 // Fenwick tree over access timestamps in O(N log N).
-func ReuseDistances(g *graph.Graph, dir trace.Direction, lineSize int) ReuseProfile {
+func ReuseDistances(g graph.Topology, dir trace.Direction, lineSize int) ReuseProfile {
 	layout := trace.NewLayout(g)
 	var p ReuseProfile
 	p.Buckets = make([]uint64, 40)
@@ -31,24 +31,27 @@ func ReuseDistances(g *graph.Graph, dir trace.Direction, lineSize int) ReuseProf
 	bit := newFenwick(n + 1)
 	pos := 0
 
-	trace.Run(g, layout, dir, func(a trace.Access) {
-		if a.Kind != trace.KindVertexRead && a.Kind != trace.KindVertexWrite {
-			return
+	trace.RunBatched(g, layout, dir, 1, 0, func(_ int, block []trace.Access) bool {
+		for _, a := range block {
+			if a.Kind != trace.KindVertexRead && a.Kind != trace.KindVertexWrite {
+				continue
+			}
+			line := a.Addr / uint64(lineSize)
+			p.Total++
+			if lp, ok := lastPos[line]; ok {
+				// Distinct lines touched since last access = sum of "last
+				// occurrence" markers in (lp, pos).
+				d := bit.sum(pos) - bit.sum(lp)
+				p.Buckets[log2Bucket(uint64(d))]++
+				bit.add(lp+1, -1) // line's previous position is no longer its last
+			} else {
+				p.Cold++
+			}
+			pos++
+			lastPos[line] = pos - 1
+			bit.add(pos, +1)
 		}
-		line := a.Addr / uint64(lineSize)
-		p.Total++
-		if lp, ok := lastPos[line]; ok {
-			// Distinct lines touched since last access = sum of "last
-			// occurrence" markers in (lp, pos).
-			d := bit.sum(pos) - bit.sum(lp)
-			p.Buckets[log2Bucket(uint64(d))]++
-			bit.add(lp+1, -1) // line's previous position is no longer its last
-		} else {
-			p.Cold++
-		}
-		pos++
-		lastPos[line] = pos - 1
-		bit.add(pos, +1)
+		return true
 	})
 	return p
 }

@@ -71,7 +71,7 @@ func TestClassifyLocalityTypes(t *testing.T) {
 		{Src: 8, Dst: 101}, // vertex 8 read again by 101: type II
 	}
 	g := graph.FromEdges(102, edges)
-	p := ClassifyLocalityTypes(g, 64)
+	p := ClassifyLocalityTypes(g, 64, 1, 1024)
 	if p.Total != 3 {
 		t.Fatalf("Total = %d, want 3", p.Total)
 	}
@@ -88,7 +88,7 @@ func TestClassifyLocalityTypes(t *testing.T) {
 
 func TestClassifyLocalityTypesConservation(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(2048, 6, 3))
-	p := ClassifyLocalityTypes(g, 64)
+	p := ClassifyLocalityTypes(g, 64, 1, 1024)
 	if p.TypeI+p.TypeII+p.TypeIII+p.Cold != p.Total {
 		t.Errorf("type counts don't sum: %+v", p)
 	}
@@ -102,7 +102,7 @@ func TestClassifyLocalityTypesConservation(t *testing.T) {
 
 func TestClassifyLocalityTypesParallel(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(2048, 6, 3))
-	p := ClassifyLocalityTypesParallel(g, 64, 4, 64)
+	p := ClassifyLocalityTypes(g, 64, 4, 64)
 	if p.TypeI+p.TypeII+p.TypeIII+p.TypeIV+p.TypeV+p.Cold != p.Total {
 		t.Errorf("type counts don't sum: %+v", p)
 	}
@@ -112,10 +112,37 @@ func TestClassifyLocalityTypesParallel(t *testing.T) {
 	if p.TypeIV+p.TypeV == 0 {
 		t.Error("interleaved traversal showed no cross-thread reuse")
 	}
-	// Single-thread parallel profile degenerates to the serial one.
-	s1 := ClassifyLocalityTypesParallel(g, 64, 1, 64)
-	ser := ClassifyLocalityTypes(g, 64)
+	// At one thread the interval cannot matter.
+	s1 := ClassifyLocalityTypes(g, 64, 1, 64)
+	ser := ClassifyLocalityTypes(g, 64, 1, 1024)
 	if s1 != ser {
-		t.Errorf("1-thread parallel profile %+v != serial %+v", s1, ser)
+		t.Errorf("1-thread profile at interval 64 %+v != at 1024 %+v", s1, ser)
+	}
+}
+
+func TestClassifyLocalityTypesManyThreads(t *testing.T) {
+	// 300 vertices of in-degree 1: at threads=300 every vertex is its own
+	// thread, and vertices 0 and 256 both read vertex 299's data. Thread
+	// IDs must not alias (256 is 0 modulo a byte), so every reuse is
+	// cross-thread.
+	const n = 300
+	edges := make([]graph.Edge, 0, n)
+	for v := uint32(0); v < n; v++ {
+		src := (v + 1) % n
+		if v == 0 || v == 256 {
+			src = n - 1
+		}
+		edges = append(edges, graph.Edge{Src: src, Dst: v})
+	}
+	g := graph.FromEdges(n, edges)
+	p := ClassifyLocalityTypes(g, 64, n, 1)
+	if got := len(g.PartitionEdgeBalanced(true, n)); got != n {
+		t.Fatalf("%d partitions, want %d", got, n)
+	}
+	if p.TypeI+p.TypeII+p.TypeIII != 0 {
+		t.Errorf("same-thread reuses across %d one-vertex threads: %+v", n, p)
+	}
+	if p.TypeIV+p.TypeV == 0 {
+		t.Errorf("no cross-thread reuse: %+v", p)
 	}
 }

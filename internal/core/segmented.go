@@ -43,19 +43,8 @@ func (r SegmentedResult) MissRate() float64 {
 // replays run at once, each holding its own cache; the replayed stream is
 // materialized once, so the result is identical at every GOMAXPROCS.
 func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) SegmentedResult {
-	if segments < 1 {
-		segments = 1
-	}
-	if opts.Threads < 1 {
-		opts.Threads = 1
-	}
-	if opts.Interval < 1 {
-		opts.Interval = 1024
-	}
-	if opts.Cache == (cachesim.Config{}) {
-		opts.Cache = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-	}
-	layout := trace.NewLayout(g)
+	segments = max(segments, 1)
+	opts = opts.withDefaults(g)
 
 	// Materialize the interleaved stream once (phase 1 + interleaving) as
 	// parallel address/write arrays — the only access fields the segment
@@ -63,18 +52,13 @@ func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) Segm
 	total := int(trace.CountAccesses(g))
 	addrs := make([]uint64, 0, total)
 	writes := make([]bool, 0, total)
-	sink := func(block []trace.Access) bool {
+	trace.RunBatched(g, trace.NewLayout(g), opts.Direction, opts.Threads, opts.Interval, func(_ int, block []trace.Access) bool {
 		for _, a := range block {
 			addrs = append(addrs, a.Addr)
 			writes = append(writes, a.Write)
 		}
 		return true
-	}
-	if opts.Threads <= 1 {
-		trace.RunBatched(g, layout, opts.Direction, 0, sink)
-	} else {
-		trace.RunParallelBatched(g, layout, opts.Direction, opts.Threads, opts.Interval, 0, sink)
-	}
+	})
 
 	res := SegmentedResult{Accesses: uint64(len(addrs)), Segments: segments}
 	per := (len(addrs) + segments - 1) / segments

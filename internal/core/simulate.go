@@ -39,6 +39,20 @@ type SimOptions struct {
 	PerVertex bool
 }
 
+// withDefaults fills the zero-valued options the batched simulators
+// share: one emulated thread, a 1024-access interleaving interval and the
+// scaled L3 geometry for g.
+func (o SimOptions) withDefaults(g graph.Dims) SimOptions {
+	o.Threads = max(o.Threads, 1)
+	if o.Interval < 1 {
+		o.Interval = 1024
+	}
+	if o.Cache == (cachesim.Config{}) {
+		o.Cache = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
+	}
+	return o
+}
+
 // SimResult carries the counters of one simulated SpMV iteration.
 type SimResult struct {
 	Cache cachesim.Stats
@@ -161,11 +175,7 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 		return poll.Check() == nil
 	}
 
-	if opts.Threads == 1 {
-		res.Canceled = !trace.RunUntil(g, layout, opts.Direction, sink)
-	} else {
-		res.Canceled = !trace.RunParallelUntil(g, layout, opts.Direction, opts.Threads, opts.Interval, sink)
-	}
+	res.Canceled = !trace.RunReference(g, layout, opts.Direction, opts.Threads, opts.Interval, sink)
 
 	res.Cache = cache.Stats()
 	res.BytesTouched = bytesTouched
@@ -188,7 +198,7 @@ func LineUtilization(g graph.Topology, cfg cachesim.Config) cachesim.Utilization
 	}
 	tr := cachesim.NewUtilizationTracker(cfg)
 	layout := trace.NewLayout(g)
-	trace.RunBatched(g, layout, trace.Pull, 0, func(block []trace.Access) bool {
+	trace.RunBatched(g, layout, trace.Pull, 1, 0, func(_ int, block []trace.Access) bool {
 		for _, a := range block {
 			if a.Kind == trace.KindVertexRead {
 				tr.Access(a.Addr, a.Write)

@@ -40,9 +40,9 @@ func IHTLExperiment(s *Session, datasets []Dataset) []IHTLRow {
 			run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
 			return c.Stats().Misses
 		}
-		plain := count(func(sk trace.Sink) { trace.Run(g, trace.NewLayout(g), trace.Pull, sk) })
+		plain := core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses
 		ro := s.Relabeled(ds, reorder.MustNew("ro"))
-		roMiss := count(func(sk trace.Sink) { trace.Run(ro, trace.NewLayout(ro), trace.Pull, sk) })
+		roMiss := core.SimulateSpMV(ro, core.SimOptions{Cache: cfg}).Cache.Misses
 		ihtlMiss := count(func(sk trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), sk) })
 		return IHTLRow{
 			Dataset: ds.Name, Kind: ds.Kind,
@@ -186,7 +186,7 @@ func HilbertExperiment(s *Session, datasets []Dataset) []HilbertRow {
 			Dataset:       ds.Name,
 			HilbertMisses: count(func(sk trace.Sink) { sfc.Trace(hil, l, sk) }),
 			RowMisses:     count(func(sk trace.Sink) { sfc.Trace(row, l, sk) }),
-			PullMisses:    count(func(sk trace.Sink) { trace.Run(g, l, trace.Pull, sk) }),
+			PullMisses:    core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses,
 		}
 	})
 }

@@ -8,20 +8,18 @@ type Range struct {
 // Len returns the number of vertices in the range.
 func (r Range) Len() uint32 { return r.Hi - r.Lo }
 
-// PartitionEdgeBalancedOut splits the vertex set into at most p contiguous
-// ranges with approximately equal numbers of *out*-edges, the
+// PartitionEdgeBalanced splits the vertex set into at most p contiguous
+// ranges with approximately equal numbers of in-edges (in=true, for pull
+// traversals over the CSC) or out-edges (in=false, over the CSR): the
 // edge-balanced partitioning the paper's runtime uses for parallel SpMV
 // (§III-B, following GraphGrind). Empty trailing ranges are dropped, so
-// fewer than p ranges may be returned for small graphs.
-func (g *Graph) PartitionEdgeBalancedOut(p int) []Range {
+// fewer than p ranges may be returned for small graphs. It implements
+// Topology.
+func (g *Graph) PartitionEdgeBalanced(in bool, p int) []Range {
+	if in {
+		return partitionByOffsets(g.inOff, g.n, p)
+	}
 	return partitionByOffsets(g.outOff, g.n, p)
-}
-
-// PartitionEdgeBalancedIn splits the vertex set into at most p contiguous
-// ranges with approximately equal numbers of *in*-edges (for pull
-// traversals over the CSC).
-func (g *Graph) PartitionEdgeBalancedIn(p int) []Range {
-	return partitionByOffsets(g.inOff, g.n, p)
 }
 
 func partitionByOffsets(off []uint64, n uint32, p int) []Range {

@@ -9,7 +9,7 @@ import (
 func TestPartitionCoversAllVertices(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(1)), 100, 500)
 	for _, p := range []int{1, 2, 3, 7, 16, 200} {
-		ranges := g.PartitionEdgeBalancedOut(p)
+		ranges := g.PartitionEdgeBalanced(false, p)
 		var covered uint32
 		for i, r := range ranges {
 			if r.Lo != covered {
@@ -37,7 +37,7 @@ func TestPartitionEdgeBalance(t *testing.T) {
 		edges = append(edges, Edge{i, i + 1})
 	}
 	g := FromEdges(1000, edges)
-	ranges := g.PartitionEdgeBalancedOut(4)
+	ranges := g.PartitionEdgeBalanced(false, 4)
 	if len(ranges) < 2 {
 		t.Fatalf("got %d ranges", len(ranges))
 	}
@@ -49,7 +49,7 @@ func TestPartitionEdgeBalance(t *testing.T) {
 
 func TestPartitionSmallGraph(t *testing.T) {
 	g := FromEdges(2, []Edge{{0, 1}})
-	ranges := g.PartitionEdgeBalancedOut(8)
+	ranges := g.PartitionEdgeBalanced(false, 8)
 	if len(ranges) > 2 {
 		t.Errorf("more ranges than vertices: %d", len(ranges))
 	}
@@ -64,7 +64,7 @@ func TestPartitionSmallGraph(t *testing.T) {
 
 func TestPartitionInDirection(t *testing.T) {
 	g := FromEdges(4, []Edge{{0, 3}, {1, 3}, {2, 3}})
-	ranges := g.PartitionEdgeBalancedIn(2)
+	ranges := g.PartitionEdgeBalanced(true, 2)
 	var covered uint32
 	for _, r := range ranges {
 		covered += r.Len()
@@ -82,7 +82,7 @@ func TestPartitionProperty(t *testing.T) {
 		n := uint32(rng.Intn(200) + 1)
 		g := randomGraph(rng, n, rng.Intn(1000))
 		p := rng.Intn(10) + 1
-		ranges := g.PartitionEdgeBalancedOut(p)
+		ranges := g.PartitionEdgeBalanced(false, p)
 		var covered uint32
 		maxDeg := uint64(g.MaxOutDegree())
 		bound := g.NumEdges()/uint64(p) + maxDeg + 1

@@ -81,12 +81,3 @@ func (g *Graph) Rows(in bool, lo, hi uint32) RowCursor {
 		adj:  adj[off[lo]:off[hi]],
 	}
 }
-
-// PartitionEdgeBalanced implements Topology, dispatching to the
-// direction-specific partitioners.
-func (g *Graph) PartitionEdgeBalanced(in bool, p int) []Range {
-	if in {
-		return g.PartitionEdgeBalancedIn(p)
-	}
-	return g.PartitionEdgeBalancedOut(p)
-}

@@ -133,8 +133,12 @@ func TestIHTLBeatsPlainPullOnWebGraph(t *testing.T) {
 	}
 
 	plain := cachesim.New(cfg)
-	tl := trace.NewLayout(g)
-	trace.Run(g, tl, trace.Pull, func(a trace.Access) { plain.Access(a.Addr, a.Write) })
+	trace.RunBatched(g, trace.NewLayout(g), trace.Pull, 1, 0, func(_ int, block []trace.Access) bool {
+		for _, a := range block {
+			plain.Access(a.Addr, a.Write)
+		}
+		return true
+	})
 
 	blocked := cachesim.New(cfg)
 	il := NewLayout(b)

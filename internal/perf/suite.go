@@ -84,8 +84,8 @@ const microAccesses = 1 << 20
 
 // Micro appends the microbenchmarks: raw cache-simulator throughput
 // (scalar Access vs AccessBatch over the same synthetic stream) and raw
-// trace generation (per-access Run vs block RunBatched over the same
-// graph). NsPerOp is nanoseconds per simulated access in all four.
+// trace generation (per-access RunReference vs block RunBatched over the
+// same graph). NsPerOp is nanoseconds per simulated access in all four.
 func Micro(r *Report, opts Options) {
 	rep := opts.repeats()
 
@@ -141,7 +141,7 @@ func Micro(r *Report, opts Options) {
 	var sinkAddr uint64
 
 	tScalar := timeIt(rep, func() {
-		trace.Run(g, layout, trace.Pull, func(a trace.Access) { sinkAddr += a.Addr })
+		trace.RunReference(g, layout, trace.Pull, 1, 1024, func(a trace.Access) bool { sinkAddr += a.Addr; return true })
 	})
 	name = "trace/run/scalar"
 	ns = float64(tScalar.Nanoseconds()) / total
@@ -149,7 +149,7 @@ func Micro(r *Report, opts Options) {
 	opts.progress(name, ns)
 
 	tBatched := timeIt(rep, func() {
-		trace.RunBatched(g, layout, trace.Pull, 0, func(block []trace.Access) bool {
+		trace.RunBatched(g, layout, trace.Pull, 1, 0, func(_ int, block []trace.Access) bool {
 			for _, a := range block {
 				sinkAddr += a.Addr
 			}

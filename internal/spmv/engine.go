@@ -85,8 +85,8 @@ func New(g *graph.Graph, threads int) *Engine {
 	return &Engine{
 		g:          g,
 		threads:    threads,
-		pullChunks: g.PartitionEdgeBalancedIn(hint * ChunksPerThread),
-		pushChunks: g.PartitionEdgeBalancedOut(hint * ChunksPerThread),
+		pullChunks: g.PartitionEdgeBalanced(true, hint*ChunksPerThread),
+		pushChunks: g.PartitionEdgeBalanced(false, hint*ChunksPerThread),
 	}
 }
 

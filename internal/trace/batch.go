@@ -2,18 +2,18 @@ package trace
 
 import "graphlocality/internal/graph"
 
-// Batched stream generation. Run/RunRange pay one state-machine call per
+// Batched stream generation. RunReference pays one state-machine call per
 // access (vertexIter.next) plus one sink call per access; for SpMV traces
 // that is 3|V|+2|E| calls per iteration and dominates simulation cost.
-// The batched variants amortize both: a bulk generator fills fixed-size
-// []Access blocks with tight loops over the CSR/CSC arrays and the sink is
-// invoked once per block.
+// The batched generators amortize both: a bulk generator fills fixed-size
+// blocks with tight loops over the CSR/CSC arrays and the sink is invoked
+// once per block.
 //
-// Bit-exactness contract: concatenating the blocks a batched variant
-// delivers yields exactly the access stream its scalar counterpart emits —
-// same addresses, kinds, write flags, vertex/dest attribution, same order.
-// The differential tests in core and the stream-equality tests here hold
-// the two generators together.
+// Bit-exactness contract: concatenating the blocks a batched generator
+// delivers yields exactly the access stream RunReference emits for the
+// same threads and interval — same addresses, kinds, write flags,
+// vertex/dest attribution, same order. The stream-equality tests here and
+// the differential suite in core hold the generators together.
 
 // DefaultBatchSize is the block granularity of the batched access-stream
 // generators: large enough to amortize one sink call over thousands of
@@ -21,90 +21,64 @@ import "graphlocality/internal/graph"
 // cache-resident.
 const DefaultBatchSize = 4096
 
-// BatchSink receives consecutive blocks of simulated accesses in program
-// order and reports whether the traversal should continue; returning false
-// stops the stream (cooperative cancellation at block granularity).
-type BatchSink func(block []Access) bool
+// BatchSink receives consecutive blocks of simulated accesses in stream
+// order, each tagged with the emulated thread that issued it, and reports
+// whether the stream should continue; returning false stops it
+// (cooperative cancellation at block granularity).
+type BatchSink func(thread int, block []Access) bool
 
-// RunBatched generates the same access stream as Run, delivered in blocks
-// of up to blockSize accesses (0 = DefaultBatchSize). It reports whether
-// the traversal ran to completion.
-func RunBatched(g graph.Topology, l Layout, dir Direction, blockSize int, sink BatchSink) bool {
-	return RunRangeBatched(g, l, dir, graph.Range{Lo: 0, Hi: g.NumVertices()}, blockSize, sink)
+// RunBatched generates RunReference's interleaved stream for the same
+// threads and interval in blocks of up to DefaultBatchSize accesses. A
+// block never spans two emulated threads: it is cut at every thread
+// switch, and the sink learns the issuing thread (the index of its
+// edge-balanced partition). g is any Topology. It reports whether the
+// traversal ran to completion.
+func RunBatched(g graph.Topology, l Layout, dir Direction, threads, interval int, sink BatchSink) bool {
+	return runBatched(g, l, dir, threads, interval, DefaultBatchSize, sink)
 }
 
-// RunRangeBatched generates exactly the sub-stream RunRange emits for the
-// vertices in [r.Lo, r.Hi), in blocks. Concatenating the blocks of a
-// partition of [0, |V|) reproduces Run's stream exactly. It reports
-// whether the traversal ran to completion.
-func RunRangeBatched(g graph.Topology, l Layout, dir Direction, r graph.Range, blockSize int, sink BatchSink) bool {
-	if blockSize < 1 {
-		blockSize = DefaultBatchSize
-	}
-	it := newBulkIter(g, l, dir, r)
-	buf := make([]Access, blockSize)
-	for !it.done {
-		n := it.fill(buf)
-		if n == 0 {
-			break
-		}
-		if !sink(buf[:n]) {
-			return false
-		}
-	}
-	return true
-}
-
-// RunParallelBatched generates RunParallel's interleaved stream (the
-// paper's two-phase §V-B interleaving: per-partition program order, cut
-// into `interval`-access slices delivered round-robin) in blocks of up to
-// blockSize accesses. Block boundaries are independent of interval
-// boundaries; concatenating the blocks reproduces RunParallel's stream
-// exactly. It reports whether the traversal ran to completion.
-func RunParallelBatched(g graph.Topology, l Layout, dir Direction, threads, interval, blockSize int, sink BatchSink) bool {
-	if threads < 1 {
-		threads = 1
-	}
-	if interval < 1 {
-		interval = 1
-	}
-	if blockSize < 1 {
-		blockSize = DefaultBatchSize
-	}
+// runBatched is RunBatched with a chosen block size, so the tests can
+// check that block cuts never change the stream.
+func runBatched(g graph.Topology, l Layout, dir Direction, threads, interval, blockSize int, sink BatchSink) bool {
+	interval = max(interval, 1)
 	ranges := g.PartitionEdgeBalanced(dir == Pull, threads)
+	if len(ranges) == 1 {
+		// One thread has nothing to interleave: fill whole blocks.
+		interval = blockSize
+	}
 	iters := make([]*bulkIter, len(ranges))
 	for i, r := range ranges {
 		iters[i] = newBulkIter(g, l, dir, r)
 	}
 
 	buf := make([]Access, 0, blockSize)
+	owner := 0
 	flush := func() bool {
 		if len(buf) == 0 {
 			return true
 		}
-		ok := sink(buf)
+		ok := sink(owner, buf)
 		buf = buf[:0]
 		return ok
 	}
 	live := len(iters)
 	for live > 0 {
 		live = 0
-		for _, it := range iters {
+		for i, it := range iters {
 			if it.done {
 				continue
 			}
-			rem := interval
-			for rem > 0 && !it.done {
-				if len(buf) == blockSize {
-					if !flush() {
-						return false
-					}
+			if i != owner {
+				if !flush() {
+					return false
 				}
-				space := blockSize - len(buf)
-				k := rem
-				if k > space {
-					k = space
+				owner = i
+			}
+			for rem := interval; rem > 0 && !it.done; {
+				if len(buf) == blockSize && !flush() {
+					return false
 				}
+				k := min(rem, blockSize-len(buf))
 				n := it.fill(buf[len(buf) : len(buf)+k])
 				buf = buf[:len(buf)+n]
 				rem -= n
@@ -124,9 +98,10 @@ func RunParallelBatched(g graph.Topology, l Layout, dir Direction, threads, inte
 // everything else 8). Returning false stops the stream.
 type ColumnSink func(addrs []uint64, writes []bool, edgeReads int) bool
 
-// RunColumns generates Run's access stream in columnar blocks of up to
-// blockSize accesses (0 = DefaultBatchSize): the same addresses and write
-// flags in the same order, without materializing Access records. It is the
+// RunColumns generates the single-threaded stream (RunReference at
+// threads 1) in columnar blocks of up to blockSize accesses
+// (0 = DefaultBatchSize): the same addresses and write flags in the same
+// order, without materializing Access records. It is the
 // lowest-overhead stream shape, used by the plain (no per-vertex
 // attribution) simulation fast path. It reports whether the traversal ran
 // to completion.
@@ -152,38 +127,7 @@ func RunColumns(g graph.Topology, l Layout, dir Direction, blockSize int, sink C
 	return true
 }
 
-// ReplayBatched interleaves pre-collected per-thread logs exactly like
-// ReplayWithThread — round-robin slices of `interval` accesses — but hands
-// each slice to the sink as a block (zero-copy: the blocks are views into
-// the logs). Concatenating the blocks reproduces ReplayWithThread's
-// per-access stream, with each block attributed to its emitting thread.
-func ReplayBatched(logs []ThreadLog, interval int, sink func(thread int, block []Access)) {
-	if interval < 1 {
-		interval = 1
-	}
-	pos := make([]int, len(logs))
-	live := len(logs)
-	for live > 0 {
-		live = 0
-		for i := range logs {
-			n := len(logs[i].Accesses)
-			if pos[i] >= n {
-				continue
-			}
-			end := pos[i] + interval
-			if end > n {
-				end = n
-			}
-			sink(logs[i].Thread, logs[i].Accesses[pos[i]:end])
-			pos[i] = end
-			if pos[i] < n {
-				live++
-			}
-		}
-	}
-}
-
-// bulkIter is the resumable bulk generator behind the batched variants: a
+// bulkIter is the resumable bulk generator behind the batched runners: a
 // cursor over one partition's program order whose fill method emits many
 // accesses per call. It produces, access for access, the stream vertexIter
 // produces — the stage encoding below mirrors vertexIter's states, but the

@@ -8,18 +8,22 @@ import (
 	"graphlocality/internal/graph"
 )
 
-// Stream-equality tests: concatenating the blocks of every batched variant
-// must reproduce, access for access, the stream of its scalar counterpart.
-// These are the other half of the bit-exactness contract — the differential
-// suite in core compares end-to-end SimResults, these compare the raw
-// streams so a generator bug is pinned to the generator.
+// Stream-equality tests: concatenating the blocks of every batched
+// generator must reproduce, access for access, RunReference's stream for
+// the same threads and interval. These are the other half of the
+// bit-exactness contract — the differential suite in core compares
+// end-to-end SimResults, these compare the raw streams so a generator bug
+// is pinned to the generator.
 
 func testGraph() *graph.Graph { return gen.SocialNetwork(8, 8, 5) }
 
-func collectScalar(g *graph.Graph, dir Direction) []Access {
-	l := NewLayout(g)
+// collectReference returns RunReference's full stream.
+func collectReference(g *graph.Graph, dir Direction, threads, interval int) []Access {
 	var out []Access
-	Run(g, l, dir, func(a Access) { out = append(out, a) })
+	RunReference(g, NewLayout(g), dir, threads, interval, func(a Access) bool {
+		out = append(out, a)
+		return true
+	})
 	return out
 }
 
@@ -36,45 +40,80 @@ func assertSameStream(t *testing.T, name string, want, got []Access) {
 }
 
 func TestRunBatchedMatchesRun(t *testing.T) {
+	// One thread: the stream arrives in whole DefaultBatchSize blocks,
+	// only the last one short, whatever the interval.
 	g := testGraph()
 	l := NewLayout(g)
 	for _, dir := range []Direction{Pull, Push, PushRead} {
-		want := collectScalar(g, dir)
-		// Block sizes that are tiny, misaligned with the per-vertex
-		// pattern, and the default — block cuts must never change content.
-		for _, bs := range []int{1, 3, 7, 100, 0} {
+		want := collectReference(g, dir, 1, 1)
+		for _, interval := range []int{0, 1, 1024} {
 			var got []Access
-			done := RunBatched(g, l, dir, bs, func(block []Access) bool {
+			short := 0
+			done := RunBatched(g, l, dir, 1, interval, func(thread int, block []Access) bool {
+				if thread != 0 {
+					t.Fatalf("%s: block tagged thread %d", dir, thread)
+				}
+				if short > 0 {
+					t.Fatalf("%s/iv=%d: block after a short block", dir, interval)
+				}
+				if len(block) < DefaultBatchSize {
+					short++
+				}
 				got = append(got, block...)
 				return true
 			})
 			if !done {
-				t.Fatalf("%s/bs=%d: RunBatched reported early stop", dir, bs)
+				t.Fatalf("%s: RunBatched reported early stop", dir)
 			}
-			assertSameStream(t, fmt.Sprintf("%s/bs=%d", dir, bs), want, got)
+			assertSameStream(t, fmt.Sprintf("%s/iv=%d", dir, interval), want, got)
 		}
 	}
 }
 
-func TestRunRangeBatchedMatchesRunRange(t *testing.T) {
+func TestStreamRunBatchedMatchesReference(t *testing.T) {
 	g := testGraph()
 	l := NewLayout(g)
-	r := graph.Range{Lo: 10, Hi: 200}
-	var want []Access
-	RunRange(g, l, Pull, r, func(a Access) { want = append(want, a) })
-	var got []Access
-	RunRangeBatched(g, l, Pull, r, 64, func(block []Access) bool {
-		got = append(got, block...)
-		return true
-	})
-	assertSameStream(t, "range", want, got)
+	for _, dir := range []Direction{Pull, Push, PushRead} {
+		for threads := 1; threads <= 5; threads++ {
+			ranges := g.PartitionEdgeBalanced(dir == Pull, threads)
+			for _, interval := range []int{1, 5, 1024} {
+				want := collectReference(g, dir, threads, interval)
+				// Block sizes that are tiny, misaligned with the
+				// per-vertex pattern and the interval, and the default —
+				// block cuts must never change content.
+				for _, bs := range []int{1, 3, 7, DefaultBatchSize} {
+					name := fmt.Sprintf("%s/t=%d/iv=%d/bs=%d", dir, threads, interval, bs)
+					var got []Access
+					done := runBatched(g, l, dir, threads, interval, bs, func(thread int, block []Access) bool {
+						if len(block) == 0 || len(block) > bs {
+							t.Fatalf("%s: block of %d accesses", name, len(block))
+						}
+						// A block never spans two threads, and its tag is
+						// the partition that issued every access in it.
+						r := ranges[thread]
+						for _, a := range block {
+							if a.Dest < r.Lo || a.Dest >= r.Hi {
+								t.Fatalf("%s: thread %d block holds dest %d outside %+v", name, thread, a.Dest, r)
+							}
+						}
+						got = append(got, block...)
+						return true
+					})
+					if !done {
+						t.Fatalf("%s: reported early stop", name)
+					}
+					assertSameStream(t, name, want, got)
+				}
+			}
+		}
+	}
 }
 
 func TestRunBatchedEarlyStop(t *testing.T) {
 	g := testGraph()
 	l := NewLayout(g)
 	blocks := 0
-	done := RunBatched(g, l, Pull, 50, func(block []Access) bool {
+	done := runBatched(g, l, Pull, 2, 10, 50, func(int, []Access) bool {
 		blocks++
 		return blocks < 3
 	})
@@ -90,7 +129,7 @@ func TestRunColumnsMatchesRun(t *testing.T) {
 	g := testGraph()
 	l := NewLayout(g)
 	for _, dir := range []Direction{Pull, Push, PushRead} {
-		want := collectScalar(g, dir)
+		want := collectReference(g, dir, 1, 1)
 		for _, bs := range []int{1, 2, 3, 101, 0} {
 			var addrs []uint64
 			var writes []bool
@@ -132,58 +171,6 @@ func TestRunColumnsMatchesRun(t *testing.T) {
 			}
 			if edgeReads != totalEdges {
 				t.Fatalf("%s/bs=%d: edgeReads sum %d, want %d", dir, bs, edgeReads, totalEdges)
-			}
-		}
-	}
-}
-
-func TestRunParallelBatchedMatchesRunParallel(t *testing.T) {
-	g := testGraph()
-	l := NewLayout(g)
-	for _, dir := range []Direction{Pull, Push} {
-		for _, threads := range []int{1, 3, 4} {
-			for _, interval := range []int{1, 37, 1024} {
-				var want []Access
-				RunParallel(g, l, dir, threads, interval, func(a Access) { want = append(want, a) })
-				for _, bs := range []int{17, 0} {
-					var got []Access
-					RunParallelBatched(g, l, dir, threads, interval, bs, func(block []Access) bool {
-						got = append(got, block...)
-						return true
-					})
-					name := fmt.Sprintf("%s/t=%d/iv=%d/bs=%d", dir, threads, interval, bs)
-					assertSameStream(t, name, want, got)
-				}
-			}
-		}
-	}
-}
-
-func TestReplayBatchedMatchesReplayWithThread(t *testing.T) {
-	g := testGraph()
-	l := NewLayout(g)
-	logs := CollectLogs(g, l, Pull, 3)
-	for _, interval := range []int{1, 100, 1 << 20} {
-		type step struct {
-			thread int
-			a      Access
-		}
-		var want []step
-		ReplayWithThread(logs, interval, func(th int, a Access) {
-			want = append(want, step{th, a})
-		})
-		var got []step
-		ReplayBatched(logs, interval, func(th int, block []Access) {
-			for _, a := range block {
-				got = append(got, step{th, a})
-			}
-		})
-		if len(want) != len(got) {
-			t.Fatalf("iv=%d: %d steps, want %d", interval, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("iv=%d: step %d = %+v, want %+v", interval, i, got[i], want[i])
 			}
 		}
 	}

@@ -7,8 +7,12 @@
 // enough for large graphs.
 //
 // The paper's two-phase parallel simulation (per-thread access logging,
-// then round-robin interval interleaving across threads) is implemented by
-// RunParallel via per-partition access generators.
+// then round-robin interval interleaving across threads) has three
+// generators that emit the same stream: RunReference (one access per
+// call, the oracle), RunBatched (thread-tagged blocks, the simulation
+// engine's input) and RunColumns (single-threaded columnar blocks, the
+// plain-simulation fast path). CollectLogs and Replay materialize the
+// per-thread logs for trace files.
 package trace
 
 import "graphlocality/internal/graph"

@@ -1,18 +1,13 @@
 package trace
 
-import (
-	"sync"
-
-	"graphlocality/internal/graph"
-)
+import "graphlocality/internal/graph"
 
 // This file implements the paper's two-phase parallel simulation (§V-B)
 // literally: phase 1 materializes each thread's memory accesses into a
 // log; phase 2 divides execution into intervals and replays the logs
-// round-robin. RunParallel produces the identical interleaving without
+// round-robin. RunBatched produces the identical interleaving without
 // materializing the logs; the explicit form exists for tooling that needs
-// to store, inspect or re-replay traces (and as executable documentation
-// of the paper's method).
+// to store, inspect or re-replay traces.
 
 // ThreadLog is the materialized access log of one emulated thread.
 type ThreadLog struct {
@@ -24,37 +19,29 @@ type ThreadLog struct {
 // `threads` edge-balanced partitions and records each partition's full
 // program-order access stream.
 func CollectLogs(g graph.Topology, l Layout, dir Direction, threads int) []ThreadLog {
-	if threads < 1 {
-		threads = 1
-	}
-	ranges := g.PartitionEdgeBalanced(dir == Pull, threads)
-	logs := make([]ThreadLog, len(ranges))
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func(i int, r graph.Range) {
-			defer wg.Done()
-			logs[i].Thread = i
-			// The batched generator emits the identical per-partition
-			// stream (the stream-equality tests hold the two generators
-			// together) and works for any Topology.
-			RunRangeBatched(g, l, dir, r, 0, func(block []Access) bool {
-				logs[i].Accesses = append(logs[i].Accesses, block...)
-				return true
-			})
-		}(i, r)
-	}
-	wg.Wait()
+	var logs []ThreadLog
+	// Every partition holds at least one vertex, so every thread emits a
+	// block and the logs come out dense and in thread order. The interval
+	// only sets how the per-thread streams interleave, which is irrelevant
+	// here; a large one keeps the blocks full.
+	RunBatched(g, l, dir, threads, DefaultBatchSize, func(thread int, block []Access) bool {
+		for len(logs) <= thread {
+			logs = append(logs, ThreadLog{Thread: len(logs)})
+		}
+		logs[thread].Accesses = append(logs[thread].Accesses, block...)
+		return true
+	})
 	return logs
 }
 
 // Replay performs phase 2: execution duration is divided between threads;
 // for each interval every live thread contributes `interval` accesses in
-// round-robin order. The resulting stream equals RunParallel's.
-func Replay(logs []ThreadLog, interval int, sink Sink) {
-	if interval < 1 {
-		interval = 1
-	}
+// round-robin order. Each slice reaches the sink as one block tagged with
+// its log's thread (zero-copy: the blocks are views into the logs), so
+// the concatenated blocks equal RunBatched's stream for the same threads
+// and interval. It reports whether the replay ran to completion.
+func Replay(logs []ThreadLog, interval int, sink BatchSink) bool {
+	interval = max(interval, 1)
 	pos := make([]int, len(logs))
 	live := len(logs)
 	for live > 0 {
@@ -64,12 +51,9 @@ func Replay(logs []ThreadLog, interval int, sink Sink) {
 			if pos[i] >= n {
 				continue
 			}
-			end := pos[i] + interval
-			if end > n {
-				end = n
-			}
-			for _, a := range logs[i].Accesses[pos[i]:end] {
-				sink(a)
+			end := min(pos[i]+interval, n)
+			if !sink(logs[i].Thread, logs[i].Accesses[pos[i]:end]) {
+				return false
 			}
 			pos[i] = end
 			if pos[i] < n {
@@ -77,37 +61,7 @@ func Replay(logs []ThreadLog, interval int, sink Sink) {
 			}
 		}
 	}
-}
-
-// ReplayWithThread is Replay with the emitting thread's index passed to
-// the sink — needed by consumers that model per-socket resources (e.g. a
-// NUMA pair of shared L3s).
-func ReplayWithThread(logs []ThreadLog, interval int, sink func(thread int, a Access)) {
-	if interval < 1 {
-		interval = 1
-	}
-	pos := make([]int, len(logs))
-	live := len(logs)
-	for live > 0 {
-		live = 0
-		for i := range logs {
-			n := len(logs[i].Accesses)
-			if pos[i] >= n {
-				continue
-			}
-			end := pos[i] + interval
-			if end > n {
-				end = n
-			}
-			for _, a := range logs[i].Accesses[pos[i]:end] {
-				sink(logs[i].Thread, a)
-			}
-			pos[i] = end
-			if pos[i] < n {
-				live++
-			}
-		}
-	}
+	return true
 }
 
 // TotalAccesses sums the log lengths.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"graphlocality/internal/gen"
@@ -21,30 +22,28 @@ func TestCollectLogsCoverAllAccesses(t *testing.T) {
 	}
 }
 
+// replayAll concatenates Replay's blocks.
+func replayAll(logs []ThreadLog, interval int) []Access {
+	var out []Access
+	Replay(logs, interval, func(_ int, block []Access) bool {
+		out = append(out, block...)
+		return true
+	})
+	return out
+}
+
 func TestReplayEqualsRunParallel(t *testing.T) {
 	// The paper's materialized two-phase method and the streaming
 	// interleaver must produce the identical access sequence.
 	g := gen.WebGraph(gen.DefaultWebGraph(1024, 6, 3))
 	l := NewLayout(g)
-	const threads, interval = 3, 17
-
-	var streamed []Access
-	RunParallel(g, l, Pull, threads, interval, func(a Access) {
-		streamed = append(streamed, a)
-	})
-
-	var replayed []Access
-	logs := CollectLogs(g, l, Pull, threads)
-	Replay(logs, interval, func(a Access) {
-		replayed = append(replayed, a)
-	})
-
-	if len(streamed) != len(replayed) {
-		t.Fatalf("lengths differ: %d vs %d", len(streamed), len(replayed))
-	}
-	for i := range streamed {
-		if streamed[i] != replayed[i] {
-			t.Fatalf("access %d differs: %+v vs %+v", i, streamed[i], replayed[i])
+	for _, dir := range []Direction{Pull, Push, PushRead} {
+		for _, threads := range []int{1, 3} {
+			logs := CollectLogs(g, l, dir, threads)
+			for _, interval := range []int{1, 17, 1 << 20} {
+				name := fmt.Sprintf("%s/t=%d/iv=%d", dir, threads, interval)
+				assertSameStream(t, name, collectReference(g, dir, threads, interval), replayAll(logs, interval))
+			}
 		}
 	}
 }
@@ -53,9 +52,7 @@ func TestReplayDegenerateInterval(t *testing.T) {
 	g := gen.Ring(50)
 	l := NewLayout(g)
 	logs := CollectLogs(g, l, Push, 2)
-	var n uint64
-	Replay(logs, 0, func(Access) { n++ })
-	if n != CountAccesses(g) {
+	if n := uint64(len(replayAll(logs, 0))); n != CountAccesses(g) {
 		t.Errorf("replayed %d accesses, want %d", n, CountAccesses(g))
 	}
 }
@@ -64,37 +61,40 @@ func TestReplayWithThread(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(512, 6, 5))
 	l := NewLayout(g)
 	logs := CollectLogs(g, l, Pull, 3)
-	// Threaded replay yields the same sequence as plain replay, with a
-	// valid thread id attached to every access.
-	var plain []Access
-	Replay(logs, 16, func(a Access) { plain = append(plain, a) })
-	var threaded []Access
-	counts := map[int]uint64{}
-	ReplayWithThread(logs, 16, func(thread int, a Access) {
+	// Every block is one interval slice of one log, tagged with that
+	// log's thread, handed over in round-robin order.
+	counts := map[int]int{}
+	prev := -1
+	Replay(logs, 16, func(thread int, block []Access) bool {
 		if thread < 0 || thread >= len(logs) {
 			t.Fatalf("bad thread id %d", thread)
 		}
-		counts[thread]++
-		threaded = append(threaded, a)
-	})
-	if len(plain) != len(threaded) {
-		t.Fatalf("lengths differ: %d vs %d", len(plain), len(threaded))
-	}
-	for i := range plain {
-		if plain[i] != threaded[i] {
-			t.Fatalf("sequence diverged at %d", i)
+		if len(block) == 0 || len(block) > 16 {
+			t.Fatalf("block of %d accesses", len(block))
 		}
-	}
+		log := logs[thread].Accesses
+		assertSameStream(t, fmt.Sprintf("thread %d", thread), log[counts[thread]:counts[thread]+len(block)], block)
+		if thread == prev {
+			// Consecutive blocks of one thread only once the others ran dry.
+			for i, lg := range logs {
+				if i != thread && counts[i] < len(lg.Accesses) {
+					t.Fatalf("thread %d issued twice while thread %d was live", thread, i)
+				}
+			}
+		}
+		counts[thread] += len(block)
+		prev = thread
+		return true
+	})
 	for i, lg := range logs {
-		if counts[i] != uint64(len(lg.Accesses)) {
+		if counts[i] != len(lg.Accesses) {
 			t.Errorf("thread %d delivered %d accesses, want %d", i, counts[i], len(lg.Accesses))
 		}
 	}
-	// Degenerate interval clamps.
-	var n uint64
-	ReplayWithThread(logs, 0, func(int, Access) { n++ })
-	if n != TotalAccesses(logs) {
-		t.Error("interval clamp broken")
+	// The sink stops the replay.
+	blocks := 0
+	if Replay(logs, 16, func(int, []Access) bool { blocks++; return blocks < 2 }) || blocks != 2 {
+		t.Errorf("stopped replay: %d blocks delivered", blocks)
 	}
 }
 

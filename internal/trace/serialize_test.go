@@ -162,15 +162,5 @@ func TestLogsRoundTripReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b []Access
-	Replay(logs, 32, func(x Access) { a = append(a, x) })
-	Replay(loaded, 32, func(x Access) { b = append(b, x) })
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replay diverged at %d", i)
-		}
-	}
+	assertSameStream(t, "replay", replayAll(logs, 32), replayAll(loaded, 32))
 }

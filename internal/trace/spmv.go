@@ -39,68 +39,21 @@ type Sink func(Access)
 // continue; returning false stops the stream (cooperative cancellation).
 type BoundedSink func(Access) bool
 
-// Run generates the full single-threaded access stream of one SpMV
-// iteration over g in the given direction, invoking sink for every load
-// and store. Vertices are visited in ID order within [0, |V|).
-func Run(g *graph.Graph, l Layout, dir Direction, sink Sink) {
-	RunUntil(g, l, dir, func(a Access) bool { sink(a); return true })
-}
-
-// RunUntil is Run with early exit: the stream stops as soon as sink
-// returns false. It reports whether the traversal ran to completion.
-func RunUntil(g *graph.Graph, l Layout, dir Direction, sink BoundedSink) bool {
-	gen := newVertexIter(g, l, dir, graph.Range{Lo: 0, Hi: g.NumVertices()})
-	for {
-		a, ok := gen.next()
-		if !ok {
-			return true
-		}
-		if !sink(a) {
-			return false
-		}
-	}
-}
-
-// RunRange generates exactly the sub-stream of accesses Run emits while
-// processing the vertices in [r.Lo, r.Hi), in the same order. Concatenating
-// the streams of a partition of [0, |V|) reproduces Run's stream exactly.
-func RunRange(g *graph.Graph, l Layout, dir Direction, r graph.Range, sink Sink) {
-	gen := newVertexIter(g, l, dir, r)
-	for {
-		a, ok := gen.next()
-		if !ok {
-			return
-		}
-		sink(a)
-	}
-}
-
-// RunParallel emulates the paper's parallel simulation (§V-B): the vertex
-// set is split into `threads` edge-balanced partitions, each partition
-// produces its own program-order access stream, and execution is divided
-// into intervals of `interval` accesses that are interleaved across
-// threads round-robin. sink observes the interleaved stream, which is what
-// a shared last-level cache would see.
-func RunParallel(g *graph.Graph, l Layout, dir Direction, threads, interval int, sink Sink) {
-	RunParallelUntil(g, l, dir, threads, interval, func(a Access) bool { sink(a); return true })
-}
-
-// RunParallelUntil is RunParallel with early exit: the interleaved stream
-// stops as soon as sink returns false. It reports whether the traversal
-// ran to completion.
-func RunParallelUntil(g *graph.Graph, l Layout, dir Direction, threads, interval int, sink BoundedSink) bool {
-	if threads < 1 {
-		threads = 1
-	}
-	if interval < 1 {
-		interval = 1
-	}
-	var ranges []graph.Range
-	if dir == Pull {
-		ranges = g.PartitionEdgeBalancedIn(threads)
-	} else {
-		ranges = g.PartitionEdgeBalancedOut(threads)
-	}
+// RunReference is the scalar reference generator of the paper's
+// parallel simulation (§V-B): the vertex set is split into `threads`
+// edge-balanced partitions, each partition produces its own program-order
+// access stream, and execution is divided into intervals of `interval`
+// accesses that are interleaved across threads round-robin. At threads <= 1
+// the single partition is [0, |V|), so the stream is one SpMV iteration in
+// vertex-ID order. sink observes the interleaved stream — what a shared
+// last-level cache would see — one access per call, and stops it by
+// returning false. It reports whether the traversal ran to completion.
+//
+// RunReference is the oracle the batched generators are tested against;
+// keep it boring and obviously correct.
+func RunReference(g *graph.Graph, l Layout, dir Direction, threads, interval int, sink BoundedSink) bool {
+	interval = max(interval, 1)
+	ranges := g.PartitionEdgeBalanced(dir == Pull, threads)
 	iters := make([]*vertexIter, len(ranges))
 	for i, r := range ranges {
 		iters[i] = newVertexIter(g, l, dir, r)
@@ -216,9 +169,9 @@ func (it *vertexIter) next() (Access, bool) {
 	return Access{}, false
 }
 
-// CountAccesses returns the exact number of accesses Run will generate:
-// per vertex two offsets reads and one own-data access, plus two accesses
-// per edge (edges element + neighbour data).
+// CountAccesses returns the exact number of accesses one SpMV iteration
+// generates: per vertex two offsets reads and one own-data access, plus
+// two accesses per edge (edges element + neighbour data).
 func CountAccesses(g graph.Dims) uint64 {
 	return 3*uint64(g.NumVertices()) + 2*g.NumEdges()
 }

@@ -48,8 +48,7 @@ func TestLayoutInOldData(t *testing.T) {
 
 func TestRunAccessCount(t *testing.T) {
 	g := chain()
-	var got []Access
-	Run(g, NewLayout(g), Pull, func(a Access) { got = append(got, a) })
+	got := collectReference(g, Pull, 1, 1)
 	if want := CountAccesses(g); uint64(len(got)) != want {
 		t.Fatalf("access count = %d, want %d", len(got), want)
 	}
@@ -60,7 +59,7 @@ func TestRunPullSemantics(t *testing.T) {
 	l := NewLayout(g)
 	var reads []uint32
 	var writes []uint32
-	Run(g, l, Pull, func(a Access) {
+	for _, a := range collectReference(g, Pull, 1, 1) {
 		switch a.Kind {
 		case KindVertexRead:
 			if a.Write {
@@ -79,7 +78,7 @@ func TestRunPullSemantics(t *testing.T) {
 			}
 			writes = append(writes, a.Vertex)
 		}
-	})
+	}
 	// Pull reads in-neighbours: vertex 1 reads {0}; vertex 2 reads {0,1}.
 	wantReads := []uint32{0, 0, 1}
 	if len(reads) != len(wantReads) {
@@ -100,14 +99,14 @@ func TestRunPushSemantics(t *testing.T) {
 	g := chain()
 	l := NewLayout(g)
 	var randomWrites []uint32
-	Run(g, l, Push, func(a Access) {
+	for _, a := range collectReference(g, Push, 1, 1) {
 		if a.Kind == KindVertexWrite {
 			if a.Addr != l.NewDataAddr(a.Vertex) {
 				t.Errorf("push write at %#x, want Di+1[%d]", a.Addr, a.Vertex)
 			}
 			randomWrites = append(randomWrites, a.Vertex)
 		}
-	})
+	}
 	// Push writes out-neighbours: 0 writes {1,2}; 1 writes {2}.
 	want := []uint32{1, 2, 2}
 	if len(randomWrites) != len(want) {
@@ -124,14 +123,14 @@ func TestRunPushReadSemantics(t *testing.T) {
 	g := chain()
 	l := NewLayout(g)
 	var reads []uint32
-	Run(g, l, PushRead, func(a Access) {
+	for _, a := range collectReference(g, PushRead, 1, 1) {
 		if a.Kind == KindVertexRead {
 			if a.Addr != l.OldDataAddr(a.Vertex) {
 				t.Errorf("push-read at %#x, want Di[%d]", a.Addr, a.Vertex)
 			}
 			reads = append(reads, a.Vertex)
 		}
-	})
+	}
 	// PushRead reads out-neighbours: 0 reads {1,2}; 1 reads {2}.
 	want := []uint32{1, 2, 2}
 	if len(reads) != len(want) {
@@ -146,13 +145,12 @@ func TestRunPushReadSemantics(t *testing.T) {
 
 func TestEdgesAccessedOnce(t *testing.T) {
 	g := gen.ErdosRenyi(200, 1000, 3)
-	l := NewLayout(g)
 	seen := map[uint64]int{}
-	Run(g, l, Pull, func(a Access) {
+	for _, a := range collectReference(g, Pull, 1, 1) {
 		if a.Kind == KindEdges {
 			seen[a.Addr]++
 		}
-	})
+	}
 	if uint64(len(seen)) != g.NumEdges() {
 		t.Fatalf("touched %d edge elements, want %d", len(seen), g.NumEdges())
 	}
@@ -166,14 +164,15 @@ func TestEdgesAccessedOnce(t *testing.T) {
 func TestRunParallelSameAccessMultiset(t *testing.T) {
 	// Interleaving must not change the multiset of accesses, only order.
 	g := gen.ErdosRenyi(300, 2000, 5)
-	l := NewLayout(g)
-	count := func(run func(Sink)) map[Access]int {
+	count := func(threads, interval int) map[Access]int {
 		m := map[Access]int{}
-		run(func(a Access) { m[a]++ })
+		for _, a := range collectReference(g, Pull, threads, interval) {
+			m[a]++
+		}
 		return m
 	}
-	seq := count(func(s Sink) { Run(g, l, Pull, s) })
-	par := count(func(s Sink) { RunParallel(g, l, Pull, 4, 64, s) })
+	seq := count(1, 1)
+	par := count(4, 64)
 	if len(seq) != len(par) {
 		t.Fatalf("distinct accesses differ: %d vs %d", len(seq), len(par))
 	}
@@ -188,13 +187,12 @@ func TestRunParallelInterleaves(t *testing.T) {
 	// With 2 threads the first two intervals must come from different
 	// partitions (different vertex ranges).
 	g := gen.Ring(100)
-	l := NewLayout(g)
 	var vertices []uint32
-	RunParallel(g, l, Pull, 2, 10, func(a Access) {
+	for _, a := range collectReference(g, Pull, 2, 10) {
 		if a.Kind == KindOffsets {
 			vertices = append(vertices, a.Vertex)
 		}
-	})
+	}
 	if len(vertices) < 10 {
 		t.Fatal("too few accesses")
 	}
@@ -213,20 +211,24 @@ func TestRunParallelInterleaves(t *testing.T) {
 
 func TestRunParallelDegenerateArgs(t *testing.T) {
 	g := chain()
-	l := NewLayout(g)
-	var n uint64
-	RunParallel(g, l, Pull, 0, 0, func(Access) { n++ })
-	if n != CountAccesses(g) {
+	if n := uint64(len(collectReference(g, Pull, 0, 0))); n != CountAccesses(g) {
 		t.Errorf("degenerate args: %d accesses, want %d", n, CountAccesses(g))
 	}
 }
 
 func TestEmptyGraphTrace(t *testing.T) {
 	g := graph.FromEdges(0, nil)
-	called := false
-	Run(g, NewLayout(g), Pull, func(Access) { called = true })
-	if called {
-		t.Error("empty graph generated accesses")
+	for threads := 1; threads <= 2; threads++ {
+		if n := len(collectReference(g, Pull, threads, 1)); n != 0 {
+			t.Errorf("threads=%d: empty graph generated %d accesses", threads, n)
+		}
+		if n := len(CollectLogs(g, NewLayout(g), Pull, threads)); n != 0 {
+			t.Errorf("threads=%d: empty graph logged %d threads", threads, n)
+		}
+		RunBatched(g, NewLayout(g), Pull, threads, 1, func(int, []Access) bool {
+			t.Errorf("threads=%d: empty graph delivered a block", threads)
+			return true
+		})
 	}
 }
 
