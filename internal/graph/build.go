@@ -1,20 +1,26 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // FromEdges builds a Graph with n vertices from a directed edge list.
 // Duplicate edges are kept (the CSR/CSC arrays simply contain them twice);
 // use FromEdgesDedup to drop duplicates. Edges referencing vertices >= n
 // cause a panic — the caller owns ID assignment.
 //
-// Construction is two counting sorts (one per direction), O(|V|+|E|) time.
+// Construction is one counting sort by source followed by two transposes,
+// O(|V|+|E|) time with no comparison sort: a transpose emits every row in
+// ascending order of the rows it reads, so the first yields the sorted
+// CSC and the second, read back from it, the sorted CSR.
 func FromEdges(n uint32, edges []Edge) *Graph {
+	off, adj := bucketize(n, edges)
+	return fromRows(n, off, adj)
+}
+
+// fromRows builds a Graph from CSR rows in any order within each row.
+func fromRows(n uint32, off []uint64, adj []uint32) *Graph {
 	g := &Graph{n: n}
-	g.outOff, g.outAdj = bucketize(n, edges, func(e Edge) (uint32, uint32) { return e.Src, e.Dst })
-	g.inOff, g.inAdj = bucketize(n, edges, func(e Edge) (uint32, uint32) { return e.Dst, e.Src })
+	g.inOff, g.inAdj = transpose(n, off, adj)
+	g.outOff, g.outAdj = transpose(n, g.inOff, g.inAdj)
 	return g
 }
 
@@ -25,16 +31,15 @@ func FromEdgesDedup(n uint32, edges []Edge) *Graph {
 	return g.dedup()
 }
 
-// bucketize performs a counting sort of edges keyed by key(e) and returns
-// offsets plus the adjacent value() entries, each bucket sorted ascending.
-func bucketize(n uint32, edges []Edge, key func(Edge) (uint32, uint32)) ([]uint64, []uint32) {
+// bucketize counting-sorts edges by source and returns CSR offsets plus
+// the destinations, each row in edge-list order (not sorted).
+func bucketize(n uint32, edges []Edge) ([]uint64, []uint32) {
 	off := make([]uint64, n+1)
 	for _, e := range edges {
-		k, v := key(e)
-		if k >= n || v >= n {
+		if e.Src >= n || e.Dst >= n {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", e.Src, e.Dst, n))
 		}
-		off[k+1]++
+		off[e.Src+1]++
 	}
 	for i := uint32(0); i < n; i++ {
 		off[i+1] += off[i]
@@ -43,18 +48,33 @@ func bucketize(n uint32, edges []Edge, key func(Edge) (uint32, uint32)) ([]uint6
 	cur := make([]uint64, n)
 	copy(cur, off[:n])
 	for _, e := range edges {
-		k, v := key(e)
-		adj[cur[k]] = v
-		cur[k]++
-	}
-	// Sort each bucket ascending.
-	for v := uint32(0); v < n; v++ {
-		b := adj[off[v]:off[v+1]]
-		if len(b) > 1 {
-			sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		}
+		adj[cur[e.Src]] = e.Dst
+		cur[e.Src]++
 	}
 	return off, adj
+}
+
+// transpose derives CSC arrays from CSR arrays, or CSR from CSC: the
+// output rows come out sorted because the input rows are visited in
+// ascending order, whatever the order within them.
+func transpose(n uint32, off []uint64, adj []uint32) ([]uint64, []uint32) {
+	inOff := make([]uint64, n+1)
+	for _, u := range adj[off[0]:off[n]] {
+		inOff[u+1]++
+	}
+	for v := uint32(0); v < n; v++ {
+		inOff[v+1] += inOff[v]
+	}
+	inAdj := make([]uint32, inOff[n])
+	cur := make([]uint64, n)
+	copy(cur, inOff[:n])
+	for v := uint32(0); v < n; v++ {
+		for _, u := range adj[off[v]:off[v+1]] {
+			inAdj[cur[u]] = v
+			cur[u]++
+		}
+	}
+	return inOff, inAdj
 }
 
 // dedup removes duplicate entries from every adjacency list of both the CSR
@@ -95,16 +115,14 @@ func FromCSR(n uint32, offsets []uint64, adj []uint32) (*Graph, error) {
 			return nil, fmt.Errorf("graph: FromCSR: offsets not monotone at %d", v)
 		}
 	}
-	edges := make([]Edge, 0, len(adj))
 	for v := uint32(0); v < n; v++ {
 		for _, u := range adj[offsets[v]:offsets[v+1]] {
 			if u >= n {
 				return nil, fmt.Errorf("graph: FromCSR: neighbour %d of %d out of range", u, v)
 			}
-			edges = append(edges, Edge{v, u})
 		}
 	}
-	return FromEdges(n, edges), nil
+	return fromRows(n, offsets, adj), nil
 }
 
 // RemoveZeroDegree drops vertices with in-degree and out-degree both zero,

@@ -163,14 +163,44 @@ func (g *Graph) Reverse() *Graph {
 // Undirected returns the symmetrized graph: for every edge (u,v) both
 // (u,v) and (v,u) exist, with duplicates removed. Self-loops are kept as a
 // single directed self-edge in each direction's list (i.e. deduplicated).
+// Each row is the duplicate-free merge of the vertex's sorted out- and
+// in-rows. The result is symmetric, so its CSR and CSC share one pair of
+// arrays, as Reverse's views do.
 func (g *Graph) Undirected() *Graph {
-	es := make([]Edge, 0, 2*g.NumEdges())
+	off := make([]uint64, g.n+1)
+	var row []uint32
 	for v := uint32(0); v < g.n; v++ {
-		for _, u := range g.OutNeighbors(v) {
-			es = append(es, Edge{v, u}, Edge{u, v})
+		row = mergeUnique(row[:0], g.OutNeighbors(v), g.InNeighbors(v))
+		off[v+1] = off[v] + uint64(len(row))
+	}
+	adj := make([]uint32, off[g.n])
+	for v := uint32(0); v < g.n; v++ {
+		// Appending to the empty slice at the row's start writes the row
+		// in place: the first pass sized it exactly.
+		mergeUnique(adj[off[v]:off[v]], g.OutNeighbors(v), g.InNeighbors(v))
+	}
+	return &Graph{n: g.n, outOff: off, outAdj: adj, inOff: off, inAdj: adj}
+}
+
+// mergeUnique appends the sorted union of the sorted lists a and b to dst,
+// each value once.
+func mergeUnique(dst, a, b []uint32) []uint32 {
+	start := len(dst)
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var x uint32
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			x = a[i]
+			i++
+		} else {
+			x = b[j]
+			j++
+		}
+		if k := len(dst); k == start || dst[k-1] != x {
+			dst = append(dst, x)
 		}
 	}
-	return FromEdgesDedup(g.n, es)
+	return dst
 }
 
 // Validate checks internal invariants: offset monotonicity, neighbour-ID

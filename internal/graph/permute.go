@@ -54,17 +54,32 @@ func (p Permutation) Compose(q Permutation) Permutation {
 
 // Relabel rebuilds the graph under the relabeling array perm (old→new), as
 // a reordering algorithm's final step (§II-E): CSR and CSC are rebuilt with
-// the new vertex IDs and re-sorted adjacency.
+// the new vertex IDs and sorted adjacency. The new CSC is filled directly
+// by walking new source IDs in ascending order, so its rows come out
+// sorted; one transpose then yields the CSR.
 func (g *Graph) Relabel(perm Permutation) *Graph {
 	if len(perm) != int(g.n) {
 		panic(fmt.Sprintf("graph: permutation length %d != |V| %d", len(perm), g.n))
 	}
-	edges := make([]Edge, 0, g.NumEdges())
-	for v := uint32(0); v < g.n; v++ {
-		nv := perm[v]
+	n := g.n
+	inOff := make([]uint64, n+1)
+	for v := uint32(0); v < n; v++ {
+		inOff[perm[v]+1] = uint64(g.InDegree(v))
+	}
+	for v := uint32(0); v < n; v++ {
+		inOff[v+1] += inOff[v]
+	}
+	inAdj := make([]uint32, inOff[n])
+	cur := make([]uint64, n)
+	copy(cur, inOff[:n])
+	for nv, v := range perm.Inverse() {
 		for _, u := range g.OutNeighbors(v) {
-			edges = append(edges, Edge{nv, perm[u]})
+			nu := perm[u]
+			inAdj[cur[nu]] = uint32(nv)
+			cur[nu]++
 		}
 	}
-	return FromEdges(g.n, edges)
+	h := &Graph{n: n, inOff: inOff, inAdj: inAdj}
+	h.outOff, h.outAdj = transpose(n, inOff, inAdj)
+	return h
 }

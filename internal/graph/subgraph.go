@@ -184,28 +184,6 @@ func (s *Subgraph) Materialize() *Graph {
 	return g
 }
 
-// transpose derives CSC arrays from CSR arrays (buckets come out sorted
-// because sources are visited in ascending order).
-func transpose(n uint32, off []uint64, adj []uint32) ([]uint64, []uint32) {
-	inOff := make([]uint64, n+1)
-	for _, u := range adj {
-		inOff[u+1]++
-	}
-	for v := uint32(0); v < n; v++ {
-		inOff[v+1] += inOff[v]
-	}
-	inAdj := make([]uint32, len(adj))
-	cur := make([]uint64, n)
-	copy(cur, inOff[:n])
-	for v := uint32(0); v < n; v++ {
-		for _, u := range adj[off[v]:off[v+1]] {
-			inAdj[cur[u]] = v
-			cur[u]++
-		}
-	}
-	return inOff, inAdj
-}
-
 // InducedSubgraph returns the subgraph induced by the vertices where
 // keep[v] is true, with vertices renumbered contiguously in ascending
 // original-ID order, plus the mapping old→new (removed vertices map to

@@ -219,15 +219,15 @@ func TestBrewName(t *testing.T) {
 
 func TestBrewSpecErrors(t *testing.T) {
 	bad := []string{
-		"brew:detect=metis",       // unknown detector
-		"brew:hub=nope",           // unknown sub-algorithm
-		"brew:dense=hybrid",       // meta sub-algorithm
-		"brew:else=brew",          // recursive brew
-		"brew:resolution=-1",      // non-positive resolution
-		"brew:resolution=fine",    // non-numeric resolution
-		"brew:minsize=0",          // minsize below 1
-		"brew:strength=11",        // unknown structured key
-		"brew:window=3",           // generic key brew does not accept
+		"brew:detect=metis",    // unknown detector
+		"brew:hub=nope",        // unknown sub-algorithm
+		"brew:dense=hybrid",    // meta sub-algorithm
+		"brew:else=brew",       // recursive brew
+		"brew:resolution=-1",   // non-positive resolution
+		"brew:resolution=fine", // non-numeric resolution
+		"brew:minsize=0",       // minsize below 1
+		"brew:strength=11",     // unknown structured key
+		"brew:window=3",        // generic key brew does not accept
 	}
 	for _, spec := range bad {
 		if _, err := NewFromSpec(spec); err == nil {

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"graphlocality/internal/graph"
@@ -35,21 +36,24 @@ func (c Communities) Groups() [][]uint32 {
 	return groups
 }
 
-// compactBySmallestMember renumbers arbitrary community labels so that
-// community 0 is the one containing the smallest vertex ID, community 1
-// the one containing the next-smallest vertex not yet covered, and so on.
+// compactBySmallestMember renumbers community labels so that community 0
+// is the one containing the smallest vertex ID, community 1 the one
+// containing the next-smallest vertex not yet covered, and so on. Labels
+// must lie in [0, len(membership)) — every detector labels by a vertex or
+// node ID.
 func compactBySmallestMember(membership []uint32) Communities {
-	remap := make(map[uint32]uint32)
+	// remap[label] is the label's compact ID plus one; 0 = not yet seen.
+	remap := make([]uint32, len(membership))
 	next := uint32(0)
 	out := make([]uint32, len(membership))
 	for v, label := range membership {
-		id, ok := remap[label]
-		if !ok {
+		id := remap[label]
+		if id == 0 {
+			next++
 			id = next
 			remap[label] = id
-			next++
 		}
-		out[v] = id
+		out[v] = id - 1
 	}
 	return Communities{Membership: out, Count: int(next)}
 }
@@ -156,8 +160,14 @@ func localMove(w *wgraph, comm []uint32, resolution float64, rng *splitmix, poll
 	if m2 == 0 {
 		return 0, nil
 	}
-	// Scratch: weight from the current vertex to each touched community.
-	wTo := make(map[uint32]float64)
+	// Dense scratch over community IDs: wTo[c] is the weight from the
+	// current vertex to community c, seen marks the communities in
+	// touched, and only the touched entries are reset per vertex. Weights
+	// add up in neighbour order, as they always have, so every float sum
+	// is the same whatever the scratch layout.
+	wTo := make([]float64, n)
+	seen := make([]bool, n)
+	touched := make([]uint32, 0, 64)
 	totalMoves := 0
 	for pass := 0; pass < 32; pass++ {
 		moves := 0
@@ -167,29 +177,34 @@ func localMove(w *wgraph, comm []uint32, resolution float64, rng *splitmix, poll
 			}
 			old := comm[v]
 			tot[old] -= w.str[v]
-			for k := range wTo {
-				delete(wTo, k)
+			for _, c := range touched {
+				wTo[c] = 0
+				seen[c] = false
 			}
+			touched = touched[:0]
 			nbrs, wgts := w.neighbors(v)
 			for i, u := range nbrs {
-				wTo[comm[u]] += wgts[i]
+				c := comm[u]
+				if !seen[c] {
+					seen[c] = true
+					touched = append(touched, c)
+				}
+				wTo[c] += wgts[i]
 			}
 			// Deterministic candidate order: communities ascending. The
 			// vertex's own (possibly now empty) community is always a
-			// candidate with gain w_in - γ·k·tot/m2 like any other, so
-			// staying put wins ties at equal gain only if it has the
-			// smallest ID — the tie-break is purely structural.
-			cands := make([]uint32, 0, len(wTo)+1)
-			if _, ok := wTo[old]; !ok {
-				cands = append(cands, old)
+			// candidate with gain w_in - γ·k·tot/m2 like any other; it
+			// is the incumbent, so staying put wins a tie at the best
+			// gain, and otherwise the smallest ID with the best gain
+			// wins — the tie-break is purely structural.
+			if !seen[old] {
+				seen[old] = true
+				touched = append(touched, old)
 			}
-			for c := range wTo {
-				cands = append(cands, c)
-			}
-			sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+			slices.Sort(touched)
 			best := old
 			bestGain := wTo[old] - resolution*w.str[v]*tot[old]/m2
-			for _, c := range cands {
+			for _, c := range touched {
 				gain := wTo[c] - resolution*w.str[v]*tot[c]/m2
 				if gain > bestGain {
 					bestGain = gain
@@ -350,7 +365,11 @@ func DetectLabelProp(ctx context.Context, g *graph.Graph, seed uint64, pollEvery
 		visit[i], visit[j] = visit[j], visit[i]
 	}
 
-	counts := make(map[uint32]int)
+	// Dense per-label counts; only the touched labels are reset per
+	// vertex. The winner is the (count desc, label asc) maximum over the
+	// touched labels and the vertex's own, which no visit order changes.
+	counts := make([]uint32, n)
+	touched := make([]uint32, 0, 64)
 	var pollErr error
 	for pass := 0; pass < 32 && pollErr == nil; pass++ {
 		changed := 0
@@ -362,21 +381,26 @@ func DetectLabelProp(ctx context.Context, g *graph.Graph, seed uint64, pollEvery
 			if len(nbrs) == 0 {
 				continue
 			}
-			for k := range counts {
-				delete(counts, k)
+			for _, l := range touched {
+				counts[l] = 0
 			}
+			touched = touched[:0]
 			for _, u := range nbrs {
 				if u != v {
-					counts[label[u]]++
+					l := label[u]
+					if counts[l] == 0 {
+						touched = append(touched, l)
+					}
+					counts[l]++
 				}
 			}
-			if len(counts) == 0 {
+			if len(touched) == 0 {
 				continue
 			}
 			best := label[v]
 			bestCount := counts[best] // 0 if own label absent
-			for l, c := range counts {
-				if c > bestCount || (c == bestCount && l < best) {
+			for _, l := range touched {
+				if c := counts[l]; c > bestCount || (c == bestCount && l < best) {
 					best, bestCount = l, c
 				}
 			}

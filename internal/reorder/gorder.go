@@ -73,34 +73,37 @@ func (o *GOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation
 
 	window := make([]uint32, 0, w)
 
-	// adjustFor applies ±1 to the scores of all unplaced vertices whose
-	// score against vertex v changes when v enters/leaves the window:
-	// out- and in-neighbours of v (Sn), and out-neighbours of v's
+	// adjustFor applies d = ±1 to the scores of all unplaced vertices
+	// whose score against vertex v changes when v enters/leaves the
+	// window: out- and in-neighbours of v (Sn), and out-neighbours of v's
 	// in-neighbours (Ss — they share that in-neighbour with v).
-	adjustFor := func(v uint32, inc bool) {
+	adjustFor := func(v uint32, d int32) {
 		for _, u := range g.OutNeighbors(v) {
-			h.adjust(u, inc)
+			h.touch(u, d)
 		}
 		for _, u := range g.InNeighbors(v) {
-			h.adjust(u, inc)
+			h.touch(u, d)
 			for _, s := range g.OutNeighbors(u) {
 				if s != v {
-					h.adjust(s, inc)
+					h.touch(s, d)
 				}
 			}
 		}
 	}
 
+	// place applies one window step as a single heap batch: the oldest
+	// vertex leaves, v enters, then the pending score changes flush.
 	place := func(v uint32) {
 		h.remove(v)
 		order = append(order, v)
 		if len(window) == w {
 			oldest := window[0]
 			window = window[1:]
-			adjustFor(oldest, false)
+			adjustFor(oldest, -1)
 		}
 		window = append(window, v)
-		adjustFor(v, true)
+		adjustFor(v, +1)
+		h.flush()
 	}
 
 	for uint32(len(order)) < n {
@@ -134,108 +137,146 @@ func (o *GOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation
 
 // unitHeap is a bucket priority queue over vertices with small integer
 // keys that change by ±1: bucket b holds all vertices with key b as a
-// doubly-linked list. All operations are O(1) (extractMax amortized).
+// doubly-linked list, most recently (re)inserted first.
+//
+// Key changes arrive in batches, one per window step: touch only records
+// a pending ±1, and flush applies the batch with one relink per distinct
+// touched vertex. The result is exactly the heap that applying every
+// touch on its own (unlink, change the key, push to the head of the new
+// bucket when positive) would leave, provided no touch takes a key below
+// zero part-way through a batch, which GOrder's leave-before-enter window
+// step guarantees:
+//   - a touched vertex whose final key is positive was last pushed at its
+//     last touch, so touched vertices head their final buckets ordered by
+//     last touch, most recent first — flush pushes them in last-touch order;
+//   - unlinking a vertex leaves the others' relative order alone, so
+//     untouched vertices keep theirs, behind every pushed one;
+//   - maxKey stays an upper bound on the largest non-empty bucket, which
+//     is all extractMax needs.
 type unitHeap struct {
-	key        []int32
-	prev, next []int32 // linked list pointers; -1 terminates
-	head       []int32 // head[b] = first vertex with key b, or -1
-	maxKey     int32   // upper bound on the largest non-empty bucket ≥ 1
+	node   []uhNode
+	next   []int32  // bucket list successor; uhNil terminates
+	head   []int32  // head[b] = first vertex with key b, or uhNil
+	maxKey int32    // upper bound on the largest non-empty bucket ≥ 1
+	log    []uint32 // the open batch's touched vertices, one entry per touch
+}
+
+// uhNode is the per-vertex heap state a touch reads and writes, kept in
+// one record so that a touch is one random memory access.
+type uhNode struct {
+	key   int32  // current bucket; -1 once removed
+	delta int32  // pending key change of the open batch
+	last  uint32 // log position of the vertex's latest pending touch
+	prev  int32  // bucket list predecessor; uhNil at the head
 }
 
 const uhNil = int32(-1)
 
 func newUnitHeap(n uint32) *unitHeap {
 	h := &unitHeap{
-		key:  make([]int32, n),
-		prev: make([]int32, n),
+		node: make([]uhNode, n),
 		next: make([]int32, n),
 		head: []int32{uhNil, uhNil},
 	}
 	// All vertices start in bucket 0; bucket 0 is never extracted (only
 	// positive scores are frontier candidates), so the zero bucket list
 	// is left unmaterialized: vertices with key 0 are tracked lazily.
-	for i := range h.prev {
-		h.prev[i] = uhNil
+	for i := range h.node {
+		h.node[i].prev = uhNil
 		h.next[i] = uhNil
 	}
 	return h
 }
 
 // removed reports whether v has been extracted/removed.
-func (h *unitHeap) removed(v uint32) bool { return h.key[v] < 0 }
+func (h *unitHeap) removed(v uint32) bool { return h.node[v].key < 0 }
+
+// touch records a pending change d (±1) to v's key, applied by the next
+// flush. Removed vertices are ignored.
+func (h *unitHeap) touch(v uint32, d int32) {
+	nd := &h.node[v]
+	if nd.key < 0 {
+		return
+	}
+	nd.delta += d
+	nd.last = uint32(len(h.log))
+	h.log = append(h.log, v)
+}
+
+// flush applies the pending batch: at each vertex's last touch in the log
+// it unlinks the vertex and pushes it to the head of its new bucket if the
+// new key is positive — net-zero vertices move to the head too.
+func (h *unitHeap) flush() {
+	for i, v := range h.log {
+		nd := &h.node[v]
+		if nd.last != uint32(i) {
+			continue
+		}
+		h.unlink(v)
+		nd.key += nd.delta
+		nd.delta = 0
+		if nd.key > 0 {
+			h.push(v, nd.key)
+		}
+	}
+	h.log = h.log[:0]
+}
 
 // unlink removes v from its current bucket list (no-op for bucket 0,
 // which is unmaterialized).
 func (h *unitHeap) unlink(v uint32) {
-	k := h.key[v]
-	if k <= 0 {
+	nd := &h.node[v]
+	if nd.key <= 0 {
 		return
 	}
-	p, nx := h.prev[v], h.next[v]
+	p, nx := nd.prev, h.next[v]
 	if p != uhNil {
 		h.next[p] = nx
 	} else {
-		h.head[k] = nx
+		h.head[nd.key] = nx
 	}
 	if nx != uhNil {
-		h.prev[nx] = p
+		h.node[nx].prev = p
 	}
-	h.prev[v] = uhNil
+	nd.prev = uhNil
 	h.next[v] = uhNil
 }
 
-// push adds v to bucket k (k ≥ 1).
+// push adds v to the head of bucket k (k ≥ 1).
 func (h *unitHeap) push(v uint32, k int32) {
 	for int(k) >= len(h.head) {
 		h.head = append(h.head, uhNil)
 	}
 	old := h.head[k]
 	h.head[k] = int32(v)
-	h.prev[v] = uhNil
+	h.node[v].prev = uhNil
 	h.next[v] = old
 	if old != uhNil {
-		h.prev[old] = int32(v)
+		h.node[old].prev = int32(v)
 	}
 	if k > h.maxKey {
 		h.maxKey = k
 	}
 }
 
-// adjust applies ±1 to v's key, maintaining the bucket lists. Removed
-// vertices are ignored.
-func (h *unitHeap) adjust(v uint32, inc bool) {
-	k := h.key[v]
-	if k < 0 {
-		return
-	}
-	h.unlink(v)
-	if inc {
-		k++
-	} else {
-		k--
-	}
-	h.key[v] = k
-	if k > 0 {
-		h.push(v, k)
-	}
-}
-
 // remove extracts v regardless of its key (used when placing a vertex).
+// It must not be called with a batch pending.
 func (h *unitHeap) remove(v uint32) {
-	if h.key[v] < 0 {
+	if h.node[v].key < 0 {
 		return
 	}
 	h.unlink(v)
-	h.key[v] = -1
+	h.node[v].key = -1
 }
 
 // extractMax removes and returns a vertex with the maximum positive key.
+// It must not be called with a batch pending.
 func (h *unitHeap) extractMax() (uint32, bool) {
 	for h.maxKey >= 1 {
 		if v := h.head[h.maxKey]; v != uhNil {
 			u := uint32(v)
 			h.unlink(u)
-			h.key[u] = -1
+			h.node[u].key = -1
 			return u, true
 		}
 		h.maxKey--

@@ -1,11 +1,19 @@
 package reorder
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"graphlocality/internal/gen"
 	"graphlocality/internal/graph"
 )
+
+// adjustOne applies a single ±1 change to v as a batch of its own.
+func adjustOne(h *unitHeap, v uint32, d int32) {
+	h.touch(v, d)
+	h.flush()
+}
 
 func TestUnitHeapBasics(t *testing.T) {
 	h := newUnitHeap(4)
@@ -15,9 +23,9 @@ func TestUnitHeapBasics(t *testing.T) {
 	if v, ok := h.extractMax(); ok {
 		t.Fatalf("empty heap extracted %d", v)
 	}
-	h.adjust(2, true)
-	h.adjust(2, true) // key 2
-	h.adjust(1, true) // key 1
+	adjustOne(h, 2, +1)
+	adjustOne(h, 2, +1) // key 2
+	adjustOne(h, 1, +1) // key 1
 	if v, ok := h.extractMax(); !ok || v != 2 {
 		t.Fatalf("extractMax = %d,%v; want 2", v, ok)
 	}
@@ -28,13 +36,13 @@ func TestUnitHeapBasics(t *testing.T) {
 		t.Fatal("heap should be empty")
 	}
 	// Adjustments to removed vertices are ignored.
-	h.adjust(2, true)
+	adjustOne(h, 2, +1)
 	if _, ok := h.extractMax(); ok {
 		t.Fatal("removed vertex resurrected")
 	}
 	// Decrement back to zero keeps the vertex alive but unextractable.
-	h.adjust(3, true)
-	h.adjust(3, false)
+	adjustOne(h, 3, +1)
+	adjustOne(h, 3, -1)
 	if h.removed(3) {
 		t.Fatal("vertex 3 wrongly removed")
 	}
@@ -44,6 +52,203 @@ func TestUnitHeapBasics(t *testing.T) {
 	h.remove(3)
 	if !h.removed(3) {
 		t.Fatal("remove failed")
+	}
+}
+
+func TestUnitHeapBatchOrder(t *testing.T) {
+	// Within one batch the touched vertices head their final bucket by
+	// last touch, most recent first; a net-zero touch still moves a
+	// vertex to the head; untouched vertices keep their order behind.
+	h := newUnitHeap(5)
+	for _, v := range []uint32{0, 1, 2} {
+		h.touch(v, +1)
+	}
+	h.flush() // bucket 1: 2 1 0
+	h.touch(3, +1)
+	h.touch(0, +1)
+	h.touch(0, -1) // net zero, last touch after 3
+	h.touch(4, +1)
+	h.touch(3, -1)
+	h.touch(3, +1) // 3 last touched after 4
+	h.flush()
+	if got, want := fmt.Sprint(uhBuckets(h)), "[[3 4 0 2 1]]"; got != want {
+		t.Fatalf("buckets = %s, want %s", got, want)
+	}
+}
+
+// uhBuckets lists h's non-zero buckets 1..max, each from head to tail.
+func uhBuckets(h *unitHeap) [][]uint32 {
+	var out [][]uint32
+	for b := 1; b < len(h.head); b++ {
+		var list []uint32
+		for v := h.head[b]; v != uhNil; v = h.next[v] {
+			list = append(list, uint32(v))
+		}
+		out = append(out, list)
+	}
+	return trimEmpty(out)
+}
+
+func trimEmpty(bs [][]uint32) [][]uint32 {
+	for len(bs) > 0 && len(bs[len(bs)-1]) == 0 {
+		bs = bs[:len(bs)-1]
+	}
+	return bs
+}
+
+// refUnitHeap is the per-adjust unit heap the batched one must reproduce:
+// every ±1 unlinks the vertex, changes its key and pushes it to the head
+// of its new bucket when the key is positive. It shares no code with
+// unitHeap and serves only as the oracle.
+type refUnitHeap struct {
+	key, prev, next []int32
+	head            []int32
+	maxKey          int32
+}
+
+func newRefUnitHeap(n uint32) *refUnitHeap {
+	h := &refUnitHeap{key: make([]int32, n), prev: make([]int32, n), next: make([]int32, n), head: []int32{-1, -1}}
+	for i := range h.prev {
+		h.prev[i], h.next[i] = -1, -1
+	}
+	return h
+}
+
+func (h *refUnitHeap) unlink(v uint32) {
+	k := h.key[v]
+	if k <= 0 {
+		return
+	}
+	p, nx := h.prev[v], h.next[v]
+	if p != -1 {
+		h.next[p] = nx
+	} else {
+		h.head[k] = nx
+	}
+	if nx != -1 {
+		h.prev[nx] = p
+	}
+	h.prev[v], h.next[v] = -1, -1
+}
+
+func (h *refUnitHeap) adjust(v uint32, d int32) {
+	k := h.key[v]
+	if k < 0 {
+		return
+	}
+	h.unlink(v)
+	k += d
+	h.key[v] = k
+	if k > 0 {
+		for int(k) >= len(h.head) {
+			h.head = append(h.head, -1)
+		}
+		old := h.head[k]
+		h.head[k] = int32(v)
+		h.prev[v], h.next[v] = -1, old
+		if old != -1 {
+			h.prev[old] = int32(v)
+		}
+		if k > h.maxKey {
+			h.maxKey = k
+		}
+	}
+}
+
+func (h *refUnitHeap) remove(v uint32) {
+	if h.key[v] < 0 {
+		return
+	}
+	h.unlink(v)
+	h.key[v] = -1
+}
+
+func (h *refUnitHeap) extractMax() (uint32, bool) {
+	for h.maxKey >= 1 {
+		if v := h.head[h.maxKey]; v != -1 {
+			h.unlink(uint32(v))
+			h.key[v] = -1
+			return uint32(v), true
+		}
+		h.maxKey--
+	}
+	return 0, false
+}
+
+func (h *refUnitHeap) buckets() [][]uint32 {
+	var out [][]uint32
+	for b := 1; b < len(h.head); b++ {
+		var list []uint32
+		for v := h.head[b]; v != -1; v = h.next[v] {
+			list = append(list, uint32(v))
+		}
+		out = append(out, list)
+	}
+	return trimEmpty(out)
+}
+
+// TestUnitHeapMatchesPerAdjustOracle drives the batched heap and the
+// per-adjust oracle through the same random operations — batches of ±1
+// touches with repeats, net-zero pairs and keys crossing through zero,
+// interleaved with remove and extractMax — and requires identical bucket
+// lists after every batch and identical extractMax results. As in
+// GOrder, no touch takes a live key below zero.
+func TestUnitHeapMatchesPerAdjustOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := gen.NewRNG(seed)
+		n := 1 + rng.Uint32n(40)
+		h, ref := newUnitHeap(n), newRefUnitHeap(n)
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(10); {
+			case op < 7:
+				// A few hot vertices make repeats and crossings common.
+				hot := 1 + rng.Uint32n(n)
+				for i, touches := 0, rng.Intn(3*int(n)); i < touches; i++ {
+					v := rng.Uint32n(hot)
+					d := int32(1)
+					if ref.key[v] > 0 && rng.Intn(2) == 0 {
+						d = -1
+					}
+					h.touch(v, d)
+					ref.adjust(v, d)
+					if rng.Intn(5) == 0 {
+						// Net-zero pair on the same vertex.
+						h.touch(v, -d)
+						ref.adjust(v, -d)
+					}
+				}
+				h.flush()
+			case op < 8:
+				v := rng.Uint32n(n)
+				h.remove(v)
+				ref.remove(v)
+			default:
+				v, ok := h.extractMax()
+				rv, rok := ref.extractMax()
+				if v != rv || ok != rok {
+					t.Fatalf("seed %d step %d: extractMax = %d,%v; oracle %d,%v", seed, step, v, ok, rv, rok)
+				}
+			}
+			if got, want := uhBuckets(h), ref.buckets(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: buckets %v; oracle %v", seed, step, got, want)
+			}
+			for v := uint32(0); v < n; v++ {
+				if h.node[v].key != ref.key[v] {
+					t.Fatalf("seed %d step %d: key[%d] = %d; oracle %d", seed, step, v, h.node[v].key, ref.key[v])
+				}
+			}
+		}
+		// Drain: both heaps must extract the same sequence to the end.
+		for {
+			v, ok := h.extractMax()
+			rv, rok := ref.extractMax()
+			if v != rv || ok != rok {
+				t.Fatalf("seed %d drain: extractMax = %d,%v; oracle %d,%v", seed, v, ok, rv, rok)
+			}
+			if !ok {
+				break
+			}
+		}
 	}
 }
 

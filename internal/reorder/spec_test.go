@@ -45,20 +45,20 @@ func TestParseSpecValid(t *testing.T) {
 
 func TestParseSpecInvalid(t *testing.T) {
 	cases := []string{
-		"",              // empty
-		"   ",           // whitespace only
-		":window=7",     // missing name
-		"go:",           // trailing colon
-		"go:window",     // not key=value
-		"go:window=",    // empty value
-		"go:=7",         // empty key
-		"go:window=7,",  // trailing comma -> empty param
+		"",                     // empty
+		"   ",                  // whitespace only
+		":window=7",            // missing name
+		"go:",                  // trailing colon
+		"go:window",            // not key=value
+		"go:window=",           // empty value
+		"go:=7",                // empty key
+		"go:window=7,",         // trailing comma -> empty param
 		"go:window=7,window=9", // duplicate key
-		"go:a b=c",      // whitespace in key
-		"go:a=b c",      // whitespace in value
-		"g o",           // whitespace in name
-		"go:k==v",       // '=' in value
-		"ro:edr=2:100",  // ':' in value splits grammar
+		"go:a b=c",             // whitespace in key
+		"go:a=b c",             // whitespace in value
+		"g o",                  // whitespace in name
+		"go:k==v",              // '=' in value
+		"ro:edr=2:100",         // ':' in value splits grammar
 	}
 	for _, c := range cases {
 		if _, err := ParseSpec(c); err == nil {

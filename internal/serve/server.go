@@ -127,21 +127,6 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state exactly once.
-func (j *job) finish(state JobState, cache string, res *JobResult, errMsg string) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.state, j.cache, j.result, j.errMsg = state, cache, res, errMsg
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-	return true
-}
-
 // Server is the localityd daemon: admission queue, worker pool, job
 // registry and the HTTP API over them. Create with New, serve its
 // Handler, stop with Drain (graceful) or Close (immediate).
@@ -282,14 +267,11 @@ func (s *Server) worker() {
 }
 
 // execute drives one job to a terminal state. Every exit path calls
-// j.finish, so an admitted job can never be lost — the invariant the
+// s.finish, so an admitted job can never be lost — the invariant the
 // drain and chaos suites assert.
 func (s *Server) execute(j *job) {
 	s.gInflight.Set(float64(s.inflight.Add(1)))
-	defer func() {
-		s.gInflight.Set(float64(s.inflight.Add(-1)))
-		s.retire(j)
-	}()
+	defer func() { s.gInflight.Set(float64(s.inflight.Add(-1))) }()
 	// A job whose deadline expired (or whose client vanished) while it
 	// was queued terminates typed without burning a worker on it.
 	if err := j.ctx.Err(); err != nil {
@@ -333,9 +315,25 @@ func (s *Server) execute(j *job) {
 			s.cCacheMisses.Inc()
 		}
 	}
-	if j.finish(StateDone, cache, &res, "") {
-		s.cCompleted.Inc()
+	s.finish(j, StateDone, cache, &res, "", s.cCompleted)
+}
+
+// finish moves j to a terminal state exactly once, counts it in outcome
+// and records it in the job history before releasing waiters, so a client
+// that sees the job done also sees it in /v1/metrics and in the history.
+func (s *Server) finish(j *job, state JobState, cache string, res *JobResult, errMsg string, outcome *obs.Counter) {
+	j.mu.Lock()
+	if j.state.Terminal() {
+		j.mu.Unlock()
+		return
 	}
+	j.state, j.cache, j.result, j.errMsg = state, cache, res, errMsg
+	j.finished = time.Now()
+	j.mu.Unlock()
+	outcome.Inc()
+	s.retire(j)
+	j.cancel()
+	close(j.done)
 }
 
 // finishErr folds an execution error into the job's terminal state.
@@ -343,9 +341,7 @@ func (s *Server) finishErr(j *job, err error) {
 	var se *runctl.StageError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		if j.finish(StateCanceled, "", nil, "deadline exceeded") {
-			s.cCanceled.Inc()
-		}
+		s.finish(j, StateCanceled, "", nil, "deadline exceeded", s.cCanceled)
 	case errors.Is(err, context.Canceled), errors.Is(err, runctl.ErrCanceled):
 		msg := "canceled"
 		if s.draining.Load() {
@@ -356,20 +352,14 @@ func (s *Server) finishErr(j *job, err error) {
 		if j.ctx.Err() == context.DeadlineExceeded {
 			msg = "deadline exceeded"
 		}
-		if j.finish(StateCanceled, "", nil, msg) {
-			s.cCanceled.Inc()
-		}
+		s.finish(j, StateCanceled, "", nil, msg, s.cCanceled)
 	case errors.As(err, &se):
 		if se.Panicked() {
 			s.cPanics.Inc()
 		}
-		if j.finish(StateFailed, "", nil, se.Error()) {
-			s.cFailed.Inc()
-		}
+		s.finish(j, StateFailed, "", nil, se.Error(), s.cFailed)
 	default:
-		if j.finish(StateFailed, "", nil, err.Error()) {
-			s.cFailed.Inc()
-		}
+		s.finish(j, StateFailed, "", nil, err.Error(), s.cFailed)
 	}
 }
 
