@@ -24,6 +24,9 @@ func (g *Graph) componentsFiltered(removed []bool) ([]uint32, uint32) {
 	for i := range labels {
 		labels[i] = NoVertex
 	}
+	// On a symmetric graph from Undirected the CSC aliases the CSR, so
+	// the in-side scan would only repeat the out-side one.
+	scanIn := !g.aliasesCSR()
 	var next uint32
 	queue := make([]uint32, 0, 1024)
 	for start := uint32(0); start < g.n; start++ {
@@ -40,6 +43,9 @@ func (g *Graph) componentsFiltered(removed []bool) ([]uint32, uint32) {
 					labels[u] = next
 					queue = append(queue, u)
 				}
+			}
+			if !scanIn {
+				continue
 			}
 			for _, u := range g.InNeighbors(v) {
 				if labels[u] == NoVertex && (removed == nil || !removed[u]) {

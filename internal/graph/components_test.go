@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -108,5 +109,34 @@ func TestComponentsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestComponentsOnUndirectedMatchUnaliasedCopy: on Undirected's output
+// the in-side scan is skipped because the CSC aliases the CSR; the labels
+// must equal those of the same symmetric graph built with its own CSC.
+func TestComponentsOnUndirectedMatchUnaliasedCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		n := uint32(rng.Intn(80) + 1)
+		und := randomGraph(rng, n, rng.Intn(150)).Undirected()
+		if !und.aliasesCSR() {
+			t.Fatal("Undirected output does not alias its CSR")
+		}
+		copied := FromEdges(n, und.Edges())
+		if copied.aliasesCSR() {
+			t.Fatal("FromEdges output aliases its CSR")
+		}
+		removed := make([]bool, n)
+		for v := range removed {
+			removed[v] = rng.Intn(4) == 0
+		}
+		for _, rm := range [][]bool{nil, removed} {
+			gl, gk := und.componentsFiltered(rm)
+			wl, wk := copied.componentsFiltered(rm)
+			if gk != wk || !slices.Equal(gl, wl) {
+				t.Fatalf("trial %d: labels %v (%d); unaliased %v (%d)", trial, gl, gk, wl, wk)
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // OutDegrees returns a freshly allocated slice of all out-degrees.
 func (g *Graph) OutDegrees() []uint32 {
@@ -43,34 +46,54 @@ func DegreeHistogram(degrees []uint32) map[uint32]uint64 {
 // VerticesByDegreeDesc returns vertex IDs sorted by the given degree slice,
 // descending; ties broken by ascending vertex ID for determinism.
 func VerticesByDegreeDesc(degrees []uint32) []uint32 {
-	order := make([]uint32, len(degrees))
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if degrees[a] != degrees[b] {
-			return degrees[a] > degrees[b]
-		}
-		return a < b
-	})
-	return order
+	return verticesByDegree(degrees, true)
 }
 
 // VerticesByDegreeAsc returns vertex IDs sorted by degree ascending; ties
 // broken by ascending vertex ID.
 func VerticesByDegreeAsc(degrees []uint32) []uint32 {
-	order := make([]uint32, len(degrees))
-	for i := range order {
-		order[i] = uint32(i)
+	return verticesByDegree(degrees, false)
+}
+
+// verticesByDegree orders vertex IDs by degree, ties by ascending ID: a
+// stable sort by degree over ascending IDs yields exactly that total
+// order. It is a counting sort unless degrees far above the vertex count
+// would make the count array outgrow the input.
+func verticesByDegree(degrees []uint32, desc bool) []uint32 {
+	n := len(degrees)
+	order := make([]uint32, n)
+	var maxDeg uint32
+	for _, d := range degrees {
+		maxDeg = max(maxDeg, d)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if degrees[a] != degrees[b] {
-			return degrees[a] < degrees[b]
+	// rank maps a degree to its bucket in output order.
+	rank := func(d uint32) uint32 {
+		if desc {
+			return maxDeg - d
 		}
-		return a < b
-	})
+		return d
+	}
+	if uint64(maxDeg) > 4*uint64(n)+1024 {
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		slices.SortStableFunc(order, func(a, b uint32) int {
+			return cmp.Compare(rank(degrees[a]), rank(degrees[b]))
+		})
+		return order
+	}
+	start := make([]int, int(maxDeg)+2)
+	for _, d := range degrees {
+		start[rank(d)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	for v, d := range degrees {
+		b := rank(d)
+		order[start[b]] = uint32(v)
+		start[b]++
+	}
 	return order
 }
 

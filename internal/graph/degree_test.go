@@ -1,6 +1,11 @@
 package graph
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
 
 func TestDegreeSlices(t *testing.T) {
 	g := diamond()
@@ -144,5 +149,48 @@ func TestGiantComponentTieBreak(t *testing.T) {
 	}
 	if gcc := g.GiantComponent(labels, k); gcc != labels[0] {
 		t.Errorf("tie should go to the smaller label, got %d", gcc)
+	}
+}
+
+// TestVerticesByDegreeMatchesSortReference checks both degree orders
+// against a comparison sort on random degree arrays with many ties, some
+// with degrees far above the vertex count.
+func TestVerticesByDegreeMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(100)
+		// Every fifth trial draws from values that include one beyond the
+		// counting sort's range, so ties also reach the fallback sort.
+		values := make([]uint32, 1+rng.Intn(8))
+		for i := range values {
+			values[i] = uint32(i)
+		}
+		if trial%5 == 0 {
+			values[0] = 1 << 30
+		}
+		deg := make([]uint32, n)
+		for i := range deg {
+			deg[i] = values[rng.Intn(len(values))]
+		}
+		for _, desc := range []bool{false, true} {
+			want := make([]uint32, n)
+			for i := range want {
+				want[i] = uint32(i)
+			}
+			sort.Slice(want, func(i, j int) bool {
+				a, b := want[i], want[j]
+				if deg[a] != deg[b] {
+					return (deg[a] > deg[b]) == desc
+				}
+				return a < b
+			})
+			got := VerticesByDegreeAsc(deg)
+			if desc {
+				got = VerticesByDegreeDesc(deg)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d desc=%v: %v; reference %v (deg %v)", trial, desc, got, want, deg)
+			}
+		}
 	}
 }

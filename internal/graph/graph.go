@@ -182,6 +182,13 @@ func (g *Graph) Undirected() *Graph {
 	return &Graph{n: g.n, outOff: off, outAdj: adj, inOff: off, inAdj: adj}
 }
 
+// aliasesCSR reports whether g's CSC is its CSR, as in Undirected's
+// output, so that in-neighbours repeat out-neighbours.
+func (g *Graph) aliasesCSR() bool {
+	return len(g.outOff) > 0 && len(g.inOff) > 0 && &g.outOff[0] == &g.inOff[0] &&
+		len(g.outAdj) == len(g.inAdj) && (len(g.outAdj) == 0 || &g.outAdj[0] == &g.inAdj[0])
+}
+
 // mergeUnique appends the sorted union of the sorted lists a and b to dst,
 // each value once.
 func mergeUnique(dst, a, b []uint32) []uint32 {

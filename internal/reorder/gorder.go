@@ -73,21 +73,38 @@ func (o *GOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation
 
 	window := make([]uint32, 0, w)
 
+	// sib is a private copy of the CSR edges (the graph's arrays are
+	// shared); row u keeps only its first live[u] entries.
+	off := g.OutOffsets()
+	sib := append([]uint32(nil), g.OutEdges()...)
+	live := make([]uint32, n)
+	for u := range live {
+		live[u] = uint32(off[u+1] - off[u])
+	}
+
 	// adjustFor applies d = ±1 to the scores of all unplaced vertices
 	// whose score against vertex v changes when v enters/leaves the
 	// window: out- and in-neighbours of v (Sn), and out-neighbours of v's
-	// in-neighbours (Ss — they share that in-neighbour with v).
+	// in-neighbours (Ss — they share that in-neighbour with v). A touch on
+	// a placed vertex is a no-op, so the sibling scan filters placed
+	// vertices out of u's row in place, keeping the survivors' order: the
+	// touches that take effect, and their order, are unchanged. v itself
+	// is placed before its first adjustFor, so it is never a sibling.
 	adjustFor := func(v uint32, d int32) {
 		for _, u := range g.OutNeighbors(v) {
 			h.touch(u, d)
 		}
 		for _, u := range g.InNeighbors(v) {
 			h.touch(u, d)
-			for _, s := range g.OutNeighbors(u) {
-				if s != v {
-					h.touch(s, d)
+			row := sib[off[u] : off[u]+uint64(live[u])]
+			k := 0
+			for _, s := range row {
+				if h.touch(s, d) {
+					row[k] = s
+					k++
 				}
 			}
+			live[u] = uint32(k)
 		}
 	}
 
@@ -192,15 +209,17 @@ func newUnitHeap(n uint32) *unitHeap {
 func (h *unitHeap) removed(v uint32) bool { return h.node[v].key < 0 }
 
 // touch records a pending change d (±1) to v's key, applied by the next
-// flush. Removed vertices are ignored.
-func (h *unitHeap) touch(v uint32, d int32) {
+// flush, and reports whether v is still in the heap. Removed vertices are
+// ignored.
+func (h *unitHeap) touch(v uint32, d int32) bool {
 	nd := &h.node[v]
 	if nd.key < 0 {
-		return
+		return false
 	}
 	nd.delta += d
 	nd.last = uint32(len(h.log))
 	h.log = append(h.log, v)
+	return true
 }
 
 // flush applies the pending batch: at each vertex's last touch in the log

@@ -3,6 +3,7 @@ package reorder
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"graphlocality/internal/gen"
@@ -355,4 +356,101 @@ func commonInNeighbors(g *graph.Graph, a, b uint32) int {
 		}
 	}
 	return c
+}
+
+// oracleGraphs returns the graphs the heavy-RA oracle tests compare on:
+// random multigraphs with self-loops, duplicate edges, isolated vertices
+// and a few hot vertices, plus small instances of the suite's families.
+func oracleGraphs() map[string]*graph.Graph {
+	gs := map[string]*graph.Graph{
+		"social": gen.SocialNetwork(8, 8, 5),
+		"web":    gen.WebGraph(gen.DefaultWebGraph(1<<8, 8, 6)),
+		"er":     gen.ErdosRenyi(300, 1500, 7),
+		"star":   gen.Star(40),
+		"empty":  graph.FromEdges(5, nil),
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := gen.NewRNG(seed)
+		n := 1 + rng.Uint32n(120)
+		hot := 1 + rng.Uint32n(n)
+		edges := make([]graph.Edge, rng.Intn(6*int(n)+1))
+		for i := range edges {
+			src, dst := rng.Uint32n(n), rng.Uint32n(n)
+			if rng.Intn(3) == 0 {
+				dst = rng.Uint32n(hot)
+			}
+			edges[i] = graph.Edge{Src: src, Dst: dst}
+		}
+		gs[fmt.Sprintf("rand%d", seed)] = graph.FromEdges(n, edges)
+	}
+	return gs
+}
+
+// refGOrder is GOrder without sibling-row pruning: every sibling scan
+// walks u's whole out-row, skipping only v, and every touch is applied on
+// its own to the per-adjust oracle heap. It shares no code with
+// GOrder.Reorder.
+func refGOrder(g *graph.Graph, w int) graph.Permutation {
+	n := g.NumVertices()
+	h := newRefUnitHeap(n)
+	seeds := make([]uint32, n)
+	for i := range seeds {
+		seeds[i] = uint32(i)
+	}
+	deg := func(v uint32) int { return len(g.OutNeighbors(v)) + len(g.InNeighbors(v)) }
+	sort.Slice(seeds, func(i, j int) bool {
+		a, b := seeds[i], seeds[j]
+		if deg(a) != deg(b) {
+			return deg(a) > deg(b)
+		}
+		return a < b
+	})
+	adjust := func(v uint32, d int32) {
+		for _, u := range g.OutNeighbors(v) {
+			h.adjust(u, d)
+		}
+		for _, u := range g.InNeighbors(v) {
+			h.adjust(u, d)
+			for _, s := range g.OutNeighbors(u) {
+				if s != v {
+					h.adjust(s, d)
+				}
+			}
+		}
+	}
+	perm := make(graph.Permutation, n)
+	var window []uint32
+	next := 0
+	for i := uint32(0); i < n; i++ {
+		v, ok := h.extractMax()
+		if !ok {
+			for h.key[seeds[next]] < 0 {
+				next++
+			}
+			v = seeds[next]
+		}
+		h.remove(v)
+		perm[v] = i
+		if len(window) == w {
+			adjust(window[0], -1)
+			window = window[1:]
+		}
+		window = append(window, v)
+		adjust(v, +1)
+	}
+	return perm
+}
+
+// TestGOrderMatchesUnprunedOracle: dropping placed vertices from the
+// sibling rows removes only no-op touches, so the permutation must equal
+// the unpruned, per-adjust GOrder's for every window size.
+func TestGOrderMatchesUnprunedOracle(t *testing.T) {
+	for name, g := range oracleGraphs() {
+		for _, w := range []int{1, 3, 5, 8} {
+			got := Perm(&GOrder{Window: w}, g)
+			if want := refGOrder(g, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s window %d: perm %v; oracle %v", name, w, got, want)
+			}
+		}
+	}
 }

@@ -2,7 +2,7 @@ package reorder
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"graphlocality/internal/graph"
@@ -111,33 +111,32 @@ func (r *RabbitOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permut
 		}
 	}
 
-	// Weighted adjacency between live communities, restricted to eligible
-	// vertices. str[v] = total incident weight (community strength).
-	adj := make([]map[uint32]float64, n)
-	var m2 float64 // 2m = total degree weight
+	// Adjacency between live communities, restricted to eligible
+	// vertices: adj[c] lists raw neighbour IDs, one entry per unit of
+	// edge weight, so every weight — and str[c], c's total incident
+	// weight (community strength) — is an integer. Integer float64 sums
+	// are exact in any order, so counting list entries gives the same
+	// gains as accumulating weights. Rows share one backing array, each
+	// capped at its length so that a merge's append copies it out.
+	flat := make([]uint32, 0, und.NumEdges())
+	adj := make([][]uint32, n)
+	str := make([]float64, n)
 	for v := uint32(0); v < n; v++ {
 		if !eligible[v] {
 			continue
 		}
+		lo := len(flat)
 		for _, u := range und.OutNeighbors(v) {
-			if u == v || !eligible[u] {
-				continue
+			if u != v && eligible[u] {
+				flat = append(flat, u)
 			}
-			if adj[v] == nil {
-				adj[v] = make(map[uint32]float64, und.OutDegree(v))
-			}
-			adj[v][u]++
-			m2++
 		}
+		adj[v] = flat[lo:len(flat):len(flat)]
+		str[v] = float64(len(adj[v]))
 	}
+	m2 := float64(len(flat)) // 2m = total degree weight
 	if m2 == 0 {
 		m2 = 1 // avoid division by zero; gains all become non-positive
-	}
-	str := make([]float64, n)
-	for v := uint32(0); v < n; v++ {
-		for _, w := range adj[v] {
-			str[v] += w
-		}
 	}
 
 	// Union-find over communities.
@@ -169,6 +168,14 @@ func (r *RabbitOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permut
 	}
 	visitOrder := graph.VerticesByDegreeAsc(degs)
 
+	// visited[c]: c's own visit has passed. Only a community's own visit
+	// reads its adjacency, so merges into a visited root drop the list.
+	visited := make([]bool, n)
+	// weight[c] accumulates the edge weight from the visited community to
+	// neighbour community c; touched lists the non-zero entries.
+	weight := make([]uint32, n)
+	var touched []uint32
+
 	var cancelErr error
 	for _, v := range visitOrder {
 		if cancelErr = poll.Check(); cancelErr != nil {
@@ -181,57 +188,62 @@ func (r *RabbitOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permut
 		if cv != v {
 			continue // already absorbed into a community
 		}
-		// Find the neighbour community with maximum gain.
-		var best uint32
-		bestGain := 0.0
-		found := false
-		// Deterministic iteration: collect and sort neighbour communities.
-		type cand struct {
-			c uint32
-			w float64
-		}
-		cands := make([]cand, 0, len(adj[cv]))
-		merged := make(map[uint32]float64, len(adj[cv]))
-		for u, w := range adj[cv] {
+		visited[cv] = true
+		// Find the neighbour community with maximum gain, visiting
+		// candidates in ascending ID order so ties resolve to the
+		// smallest. Internal entries leave cv's list on the way.
+		row := adj[cv][:0]
+		touched = touched[:0]
+		for _, u := range adj[cv] {
 			cu := find(u)
 			if cu == cv {
 				continue
 			}
-			merged[cu] += w
+			row = append(row, u)
+			if weight[cu] == 0 {
+				touched = append(touched, cu)
+			}
+			weight[cu]++
 		}
-		for c, w := range merged {
-			cands = append(cands, cand{c, w})
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].c < cands[j].c })
-		for _, cd := range cands {
-			if r.MaxCommunitySize > 0 && size[cv]+size[cd.c] > r.MaxCommunitySize {
+		adj[cv] = row
+		slices.Sort(touched)
+		var best uint32
+		bestGain := 0.0
+		found := false
+		for _, c := range touched {
+			w := float64(weight[c])
+			weight[c] = 0
+			if r.MaxCommunitySize > 0 && size[cv]+size[c] > r.MaxCommunitySize {
 				continue
 			}
-			gain := 2 * (cd.w/m2 - (str[cv]*str[cd.c])/(m2*m2))
+			gain := 2 * (w/m2 - (str[cv]*str[c])/(m2*m2))
 			if gain > bestGain {
 				bestGain = gain
-				best = cd.c
+				best = c
 				found = true
 			}
 		}
 		if !found {
-			continue // v stays a top-level community root
+			adj[cv] = nil // v stays a top-level community root
+			continue
 		}
-		// Merge cv into best: move cv's edges, drop the internal edge.
+		// Merge cv into best: append the shorter list to the longer one,
+		// dropping the appended edges that become internal. Internal
+		// entries already on the longer list stay; best's own visit skips
+		// them.
 		cu := best
-		if adj[cu] == nil {
-			adj[cu] = make(map[uint32]float64)
-		}
-		for x, w := range adj[cv] {
-			cx := find(x)
-			if cx == cu || cx == cv {
-				continue
+		if !visited[cu] {
+			long, short := adj[cu], adj[cv]
+			if len(long) < len(short) {
+				long, short = short, long
 			}
-			adj[cu][x] += w
+			for _, x := range short {
+				if cx := find(x); cx != cu && cx != cv {
+					long = append(long, x)
+				}
+			}
+			adj[cu] = long
 		}
-		delete(adj[cu], cv)
-		// Remove stale references to members of cv lazily: find() handles
-		// them on later reads.
 		adj[cv] = nil
 		str[cu] += str[cv]
 		size[cu] += size[cv]

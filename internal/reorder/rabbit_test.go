@@ -1,6 +1,8 @@
 package reorder
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"graphlocality/internal/gen"
@@ -145,5 +147,162 @@ func TestRabbitOrderSelfLoopGraph(t *testing.T) {
 	perm := Perm(MustNew("ro"), g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refRabbitOrder is Rabbit-Order with map-based community adjacency:
+// adj[c] maps a neighbour vertex to the edge weight, each candidate scan
+// sums weights per neighbour community in a map and sorts the candidates,
+// and a merge adds cv's external weights into best's map. It returns the
+// permutation and the top-level community sizes, and shares no code with
+// RabbitOrder.Reorder.
+func refRabbitOrder(g *graph.Graph, minDeg, maxDeg, maxSize uint32) (graph.Permutation, []uint32) {
+	n := g.NumVertices()
+	und := g.Undirected()
+	restricted := minDeg != 0 || maxDeg != 0
+	if maxDeg == 0 {
+		maxDeg = ^uint32(0)
+	}
+	eligible := make([]bool, n)
+	for v := uint32(0); v < n; v++ {
+		d := und.OutDegree(v)
+		eligible[v] = !restricted || (d >= minDeg && d <= maxDeg)
+	}
+	adj := make([]map[uint32]float64, n)
+	str := make([]float64, n)
+	var m2 float64
+	for v := uint32(0); v < n; v++ {
+		adj[v] = map[uint32]float64{}
+		if !eligible[v] {
+			continue
+		}
+		for _, u := range und.OutNeighbors(v) {
+			if u != v && eligible[u] {
+				adj[v][u]++
+				str[v]++
+				m2++
+			}
+		}
+	}
+	if m2 == 0 {
+		m2 = 1
+	}
+	parent := make([]uint32, n)
+	size := make([]uint32, n)
+	children := make([][]uint32, n)
+	for i := range parent {
+		parent[i], size[i] = uint32(i), 1
+	}
+	find := func(x uint32) uint32 {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	visit := make([]uint32, n)
+	for i := range visit {
+		visit[i] = uint32(i)
+	}
+	sort.Slice(visit, func(i, j int) bool {
+		a, b := visit[i], visit[j]
+		if und.OutDegree(a) != und.OutDegree(b) {
+			return und.OutDegree(a) < und.OutDegree(b)
+		}
+		return a < b
+	})
+	for _, v := range visit {
+		if !eligible[v] || find(v) != v {
+			continue
+		}
+		weights := map[uint32]float64{}
+		for u, w := range adj[v] {
+			if c := find(u); c != v {
+				weights[c] += w
+			}
+		}
+		var cands []uint32
+		for c := range weights {
+			cands = append(cands, c)
+		}
+		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+		best, bestGain := uint32(0), 0.0
+		for _, c := range cands {
+			if maxSize > 0 && size[v]+size[c] > maxSize {
+				continue
+			}
+			if gain := 2 * (weights[c]/m2 - (str[v]*str[c])/(m2*m2)); gain > bestGain {
+				best, bestGain = c, gain
+			}
+		}
+		if bestGain == 0 {
+			continue
+		}
+		for x, w := range adj[v] {
+			if c := find(x); c != best && c != v {
+				adj[best][x] += w
+			}
+		}
+		delete(adj[best], v)
+		adj[v] = nil
+		str[best] += str[v]
+		size[best] += size[v]
+		parent[v] = best
+		children[best] = append(children[best], v)
+	}
+	perm := make(graph.Permutation, n)
+	assigned := make([]bool, n)
+	var next uint32
+	var sizes []uint32
+	var preorder func(x uint32)
+	preorder = func(x uint32) {
+		assigned[x] = true
+		perm[x] = next
+		next++
+		for _, c := range children[x] {
+			preorder(c)
+		}
+	}
+	for v := uint32(0); v < n; v++ {
+		if eligible[v] && find(v) == v {
+			sizes = append(sizes, size[v])
+			preorder(v)
+		}
+	}
+	for v := uint32(0); v < n; v++ {
+		if !assigned[v] {
+			perm[v] = next
+			next++
+		}
+	}
+	return perm, sizes
+}
+
+// TestRabbitOrderMatchesMapOracle: list-based adjacency with dense
+// candidate counting must reproduce the map-based Rabbit-Order exactly —
+// permutation and community sizes — on the plain, EDR and cache-aware
+// variants.
+func TestRabbitOrderMatchesMapOracle(t *testing.T) {
+	variants := []struct {
+		opts                    []Option
+		minDeg, maxDeg, maxSize uint32
+	}{
+		{nil, 0, 0, 0},
+		{[]Option{WithEDR(1, 4)}, 1, 4, 0},
+		{[]Option{WithEDR(2, 64)}, 2, 64, 0},
+		{[]Option{WithCacheBytes(64)}, 0, 0, 8},
+		{[]Option{WithCacheBytes(8 * 3)}, 0, 0, 3},
+	}
+	for name, g := range oracleGraphs() {
+		for _, vr := range variants {
+			ro := MustNew("ro", vr.opts...).(*RabbitOrder)
+			got := Perm(ro, g)
+			want, wantSizes := refRabbitOrder(g, vr.minDeg, vr.maxDeg, vr.maxSize)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: perm %v; oracle %v", name, ro.Name(), got, want)
+			}
+			if sizes := ro.CommunitySizes(); !reflect.DeepEqual(sizes, wantSizes) {
+				t.Fatalf("%s %s: community sizes %v; oracle %v", name, ro.Name(), sizes, wantSizes)
+			}
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package reorder
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"graphlocality/internal/graph"
 )
@@ -37,6 +38,13 @@ func (RCM) Relabel(g *graph.Graph) graph.Permutation {
 	visited := make([]bool, n)
 	order := make([]uint32, 0, n)
 	queue := make([]uint32, 0, 1024)
+	var nbrs []uint32
+	byDegreeAsc := func(x, y uint32) int {
+		if c := cmp.Compare(deg[x], deg[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	}
 
 	// Seeds in ascending degree order so each component starts from a
 	// pseudo-peripheral low-degree vertex.
@@ -50,14 +58,8 @@ func (RCM) Relabel(g *graph.Graph) graph.Permutation {
 		for i := 0; i < len(queue); i++ {
 			v := queue[i]
 			order = append(order, v)
-			nbrs := append([]uint32(nil), u.OutNeighbors(v)...)
-			sort.Slice(nbrs, func(a, b int) bool {
-				x, y := nbrs[a], nbrs[b]
-				if deg[x] != deg[y] {
-					return deg[x] < deg[y]
-				}
-				return x < y
-			})
+			nbrs = append(nbrs[:0], u.OutNeighbors(v)...)
+			slices.SortFunc(nbrs, byDegreeAsc)
 			for _, w := range nbrs {
 				if !visited[w] {
 					visited[w] = true

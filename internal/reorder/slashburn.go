@@ -1,9 +1,10 @@
 package reorder
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"graphlocality/internal/graph"
@@ -125,6 +126,7 @@ func (s *SlashBurn) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutat
 	front := uint32(0) // next low ID (hubs)
 	back := n          // IDs (back..n-1) already assigned to spokes
 	deg := make([]uint32, n)
+	removedView := make([]bool, n)
 
 	assignFront := func(v uint32) {
 		perm[v] = front
@@ -188,7 +190,6 @@ func (s *SlashBurn) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutat
 		// Burn: components of the remainder. Spokes (non-giant
 		// components) get IDs from the back, smallest components at the
 		// highest IDs, matching SlashBurn's spoke ordering.
-		removedView := make([]bool, n)
 		for v := uint32(0); v < n; v++ {
 			removedView[v] = !inPlay[v]
 		}
@@ -212,24 +213,17 @@ func (s *SlashBurn) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutat
 				spokes = append(spokes, c)
 			}
 		}
-		sort.Slice(spokes, func(i, j int) bool {
-			a, b := spokes[i], spokes[j]
-			if len(comps[a]) != len(comps[b]) {
-				return len(comps[a]) < len(comps[b])
+		slices.SortFunc(spokes, func(a, b uint32) int {
+			if c := cmp.Compare(len(comps[a]), len(comps[b])); c != 0 {
+				return c
 			}
-			return a < b
+			return cmp.Compare(a, b)
 		})
 		// Assign from the back: the first (smallest) spoke occupies the
 		// highest remaining IDs. Within a component, degree-descending.
 		for _, c := range spokes {
 			members := comps[c]
-			sort.Slice(members, func(i, j int) bool {
-				a, b := members[i], members[j]
-				if deg[a] != deg[b] {
-					return deg[a] > deg[b]
-				}
-				return a < b
-			})
+			slices.SortFunc(members, byDegreeDesc(deg))
 			for i := len(members) - 1; i >= 0; i-- {
 				back--
 				perm[members[i]] = back
@@ -265,13 +259,7 @@ func (s *SlashBurn) finishRemaining(perm graph.Permutation, inPlay []bool, deg [
 			rest = append(rest, uint32(v))
 		}
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		a, b := rest[i], rest[j]
-		if deg[a] != deg[b] {
-			return deg[a] > deg[b]
-		}
-		return a < b
-	})
+	slices.SortFunc(rest, byDegreeDesc(deg))
 	for _, v := range rest {
 		perm[v] = *front
 		*front++
@@ -280,23 +268,57 @@ func (s *SlashBurn) finishRemaining(perm graph.Permutation, inPlay []bool, deg [
 }
 
 // topKByDegree returns the k in-play vertices with the highest degree, in
-// degree-descending order (ties: ascending ID).
+// degree-descending order (ties: ascending ID). A size-k min-heap under
+// that total order holds the best k seen so far, so the result is exactly
+// the first k of a full sort.
 func topKByDegree(inPlay []bool, deg []uint32, k int) []uint32 {
-	var cands []uint32
-	for v := range inPlay {
-		if inPlay[v] {
-			cands = append(cands, uint32(v))
+	order := byDegreeDesc(deg)
+	worse := func(a, b uint32) bool { return order(a, b) > 0 }
+	// siftDown restores the heap (worst at the root) below index i.
+	siftDown := func(h []uint32, i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && worse(h[c+1], h[c]) {
+				c++
+			}
+			if !worse(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if deg[a] != deg[b] {
-			return deg[a] > deg[b]
+	h := make([]uint32, 0, min(k, len(inPlay)))
+	for v, in := range inPlay {
+		if !in {
+			continue
 		}
-		return a < b
-	})
-	if len(cands) > k {
-		cands = cands[:k]
+		u := uint32(v)
+		if len(h) < k {
+			h = append(h, u)
+			if len(h) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDown(h, i)
+				}
+			}
+		} else if worse(h[0], u) {
+			h[0] = u
+			siftDown(h, 0)
+		}
 	}
-	return cands
+	slices.SortFunc(h, order)
+	return h
+}
+
+// byDegreeDesc orders vertices by degree descending, ties by ascending ID.
+func byDegreeDesc(deg []uint32) func(a, b uint32) int {
+	return func(a, b uint32) int {
+		if c := cmp.Compare(deg[b], deg[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
 }

@@ -2,6 +2,8 @@ package reorder
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"graphlocality/internal/gen"
@@ -163,6 +165,43 @@ func TestSlashBurnTinyGraphs(t *testing.T) {
 		}
 		if err := perm.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
+// TestTopKByDegreeMatchesFullSort: the bounded heap must return exactly
+// the first k of a full (degree desc, ID asc) sort of the in-play
+// vertices, for k from 1 past the in-play count, on degrees with many ties.
+func TestTopKByDegreeMatchesFullSort(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := gen.NewRNG(seed)
+		n := 1 + rng.Intn(60)
+		inPlay := make([]bool, n)
+		deg := make([]uint32, n)
+		var cands []uint32
+		for v := range inPlay {
+			inPlay[v] = rng.Intn(4) != 0
+			deg[v] = rng.Uint32n(1 + uint32(seed%7))
+			if inPlay[v] {
+				cands = append(cands, uint32(v))
+			}
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			a, b := cands[i], cands[j]
+			if deg[a] != deg[b] {
+				return deg[a] > deg[b]
+			}
+			return a < b
+		})
+		c := len(cands)
+		for _, k := range []int{1, c - 1, c, c + 3, 1 + rng.Intn(n)} {
+			if k < 1 {
+				continue
+			}
+			want := cands[:min(k, c)]
+			if got := topKByDegree(inPlay, deg, k); !slices.Equal(got, want) {
+				t.Fatalf("seed %d k=%d: top-k %v; full sort %v (deg %v)", seed, k, got, want, deg)
+			}
 		}
 	}
 }
