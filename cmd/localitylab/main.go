@@ -92,8 +92,6 @@ func main() {
 		err = cmdObs(os.Args[2:])
 	case "store":
 		err = cmdStore(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "loadtest":
@@ -176,15 +174,10 @@ Commands:
               verified .segcsr container
   obs         inspect run manifests: obs show <m.json>, obs diff <a> <b>
   store       maintain a -cachedir artifact store: store stat|verify|gc -dir D
-  bench       performance harness: bench parallel (experiment grid serial vs
-              parallel -> BENCH_parallel.json), bench pipeline (batched vs
-              scalar simulation stack -> BENCH_pipeline.json), bench multicore
-              (per-worker-count boba ordering scaling, every row
-              cross-checked bit-exact -> BENCH_multicore.json), bench diff
-              [-tolerance 1.5] <baseline> <current> (regression gate)
   serve       run localityd, the reorder/simulate daemon (admission control,
               deadlines, load shedding, graceful drain on SIGTERM)
-  loadtest    fire a mixed workload at a running daemon -> BENCH_serve.json
+  loadtest    fire a mixed workload at a running daemon; -out writes the
+              result JSON; fails when any request fails outright
   chaos       seeded fault-injection campaign: chaos run -seed S -n N runs N
               distinct disk-fault/crash schedules against store, race,
               checkpoint, serve and segwrite workloads and checks end-to-end
@@ -856,116 +849,6 @@ func cmdExperiment(args []string) error {
 		return err
 	}
 	return finish()
-}
-
-// cmdBench dispatches the benchmark modes: "parallel" (the default, and
-// assumed when the first argument is a flag, for compatibility) compares
-// the experiment scheduler's serial and parallel passes; "pipeline" times
-// the simulation stack itself (see bench.go); "multicore" sweeps the boba
-// parallel ordering across worker counts; "diff"
-// gates a current report against a committed baseline.
-func cmdBench(args []string) error {
-	if len(args) > 0 {
-		switch args[0] {
-		case "pipeline":
-			return cmdBenchPipeline(args[1:])
-		case "multicore":
-			return cmdBenchMulticore(args[1:])
-		case "diff":
-			return cmdBenchDiff(args[1:])
-		case "parallel":
-			args = args[1:]
-		}
-	}
-	return cmdBenchParallel(args)
-}
-
-// cmdBenchParallel times a representative experiment grid twice — serial
-// (-parallel 1) and parallel — and writes the comparison as JSON. Each run
-// uses a fresh Session so the parallel pass cannot reuse memoized results
-// from the serial pass.
-func cmdBenchParallel(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	sizeName := fs.String("size", "standard", "dataset scale: tiny or standard")
-	out := fs.String("out", "BENCH_parallel.json", "output JSON path")
-	defPar := runtime.NumCPU()
-	if defPar < 2 {
-		// A single-core machine cannot show a wall-clock win; still run the
-		// comparison so the report captures the scheduler's overhead there.
-		defPar = 2
-	}
-	par := fs.Int("parallel", defPar, "worker count for the parallel pass")
-	fs.Parse(args)
-	size := expt.Standard
-	if *sizeName == "tiny" {
-		size = expt.Tiny
-	}
-	if *par < 2 {
-		return usagef("-parallel must be at least 2 to compare against the serial pass")
-	}
-
-	// The grid covers the scheduler's main shapes: Table II (reorder
-	// stages), Table III (full simulations plus miss-rate series), Table V
-	// (snapshotted simulations), and Fig. 1 (miss-rate-by-degree
-	// analytics).
-	runGrid := func(parallel int) (time.Duration, error) {
-		s := expt.NewSession()
-		s.Ctrl = runctl.New(context.Background(), runctl.Config{})
-		s.Parallel = parallel
-		ds := expt.Suite(size)
-		algs := expt.StandardAlgorithms()
-		start := time.Now()
-		expt.TableII(s, ds, algs)
-		expt.TableIII(s, ds, algs)
-		expt.TableV(s, ds, algs)
-		expt.Fig1(s, ds[0], algs)
-		elapsed := time.Since(start)
-		if len(s.DegradedStages()) != 0 {
-			return elapsed, fmt.Errorf("bench run degraded stages: %v", s.DegradedStages())
-		}
-		return elapsed, nil
-	}
-
-	fmt.Fprintf(os.Stderr, "localitylab: bench serial pass (-parallel 1, size %s)...\n", *sizeName)
-	serial, err := runGrid(1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "localitylab: serial %v; parallel pass (-parallel %d)...\n",
-		serial.Round(time.Millisecond), *par)
-	parallel, err := runGrid(*par)
-	if err != nil {
-		return err
-	}
-
-	report := struct {
-		Size            string  `json:"size"`
-		Grid            string  `json:"grid"`
-		GOMAXPROCS      int     `json:"gomaxprocs"`
-		ParallelWorkers int     `json:"parallel_workers"`
-		SerialSeconds   float64 `json:"serial_seconds"`
-		ParallelSeconds float64 `json:"parallel_seconds"`
-		Speedup         float64 `json:"speedup"`
-	}{
-		Size:            *sizeName,
-		Grid:            "table2+table3+table5+fig1",
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		ParallelWorkers: *par,
-		SerialSeconds:   serial.Seconds(),
-		ParallelSeconds: parallel.Seconds(),
-		Speedup:         serial.Seconds() / parallel.Seconds(),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("serial %.2fs, parallel %.2fs (%d workers): %.2fx speedup -> %s\n",
-		report.SerialSeconds, report.ParallelSeconds, *par, report.Speedup, *out)
-	return nil
 }
 
 // contrastOnly returns one social and one web dataset.

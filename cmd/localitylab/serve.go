@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"graphlocality/internal/obs"
-	"graphlocality/internal/perf"
 	"graphlocality/internal/runctl"
 	"graphlocality/internal/serve"
 )
@@ -193,16 +193,16 @@ func cmdServe(args []string) error {
 }
 
 // cmdLoadtest fires a mixed reorder/simulate/metrics workload at a
-// running daemon and writes the latency/outcome profile as a perf
-// report (BENCH_serve.json) that `bench diff` can gate.
+// running daemon, prints the latency/outcome summary and, with -out,
+// writes it as JSON. It fails when any request failed outright (neither
+// completed, shed nor past its deadline) or none completed.
 func cmdLoadtest(args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
 	url := fs.String("url", "http://127.0.0.1:8080", "daemon base URL")
 	n := fs.Int("n", 200, "total requests")
 	c := fs.Int("c", 16, "concurrent client goroutines")
 	deadlineMS := fs.Int("deadline", 5000, "per-request deadline_ms")
-	out := fs.String("out", "", "write perf report JSON here (e.g. BENCH_serve.json)")
-	suite := fs.String("suite", "serve", "suite name stamped into the report")
+	out := fs.String("out", "", "write the result as JSON here")
 	if err := fs.Parse(args); err != nil {
 		return usagef("loadtest: %v", err)
 	}
@@ -225,14 +225,21 @@ func cmdLoadtest(args []string) error {
 		return err
 	}
 	fmt.Println(res.String())
-	if res.Completed == 0 {
-		return fmt.Errorf("loadtest: no request completed")
-	}
 	if *out != "" {
-		if err := perf.WriteFile(*out, res.Report(*suite)); err != nil {
+		data, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "localitylab: wrote %s\n", *out)
+	}
+	if res.Failed > 0 {
+		return fmt.Errorf("loadtest: %d request(s) failed", res.Failed)
+	}
+	if res.Completed == 0 {
+		return fmt.Errorf("loadtest: no request completed")
 	}
 	return nil
 }

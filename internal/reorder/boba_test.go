@@ -2,6 +2,7 @@ package reorder_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -136,5 +137,24 @@ func TestBobaWorkerCountSweep(t *testing.T) {
 		if got := (reorder.Boba{Workers: w}).Relabel(g); !reflect.DeepEqual(want, got) {
 			t.Errorf("workers=%d diverges from serial", w)
 		}
+	}
+}
+
+// BenchmarkBobaWorkers times the parallel bucketing at one worker, two
+// and GOMAXPROCS (when above two) on a TwtrS-sized social graph. It
+// shows on the machine it runs on whether the parallel passes pay;
+// bit-exactness across worker counts is TestBobaWorkerCountSweep's job.
+func BenchmarkBobaWorkers(b *testing.B) {
+	g := gen.SocialNetwork(15, 16, 1)
+	counts := []int{1, 2}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		counts = append(counts, p)
+	}
+	for _, w := range counts {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				reorder.Boba{Workers: w}.Relabel(g)
+			}
+		})
 	}
 }

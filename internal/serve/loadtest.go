@@ -6,12 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
-
-	"graphlocality/internal/perf"
 )
 
 // LoadtestOptions drives Loadtest.
@@ -207,22 +204,6 @@ func fireOne(ctx context.Context, opts LoadtestOptions, req JobRequest) (outcome
 	default:
 		return "failed", false, lat
 	}
-}
-
-// Report renders the load test as a perf.Report so the existing
-// `bench diff` regression gate covers the serving layer: p50/p99
-// latency as timed benchmarks, completion and cache-hit rates as
-// ratio ("speedup") entries — the rates are stable across machines the
-// way batched-vs-scalar ratios are, while absolute latency gets the
-// normal time tolerance.
-func (r LoadtestResult) Report(suite string) perf.Report {
-	report := perf.Report{Schema: perf.SchemaVersion, Suite: suite, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	report.Add("serve/p50_latency", r.Completed, float64(r.P50.Nanoseconds()))
-	report.Add("serve/p99_latency", r.Completed, float64(r.P99.Nanoseconds()))
-	report.Add("serve/shed_rate_pct", r.Total, 100*r.ShedRate())
-	report.AddSpeedup("serve/completion_rate", r.CompletionRate())
-	report.AddSpeedup("serve/cache_hit_rate", r.CacheHitRate())
-	return report
 }
 
 // String renders the human summary line.
