@@ -7,7 +7,7 @@
 // Usage:
 //
 //	localitylab gen      -kind social|web|er|ba -out g.bin [-scale N] [-seed S]
-//	localitylab reorder  -graph g.bin -alg sb|sb++|go|ro|... -out relabeled.bin
+//	localitylab reorder  -graph g.bin -alg sb|go:window=7|ro:edr=1-64|... -out relabeled.bin
 //	localitylab metrics  -graph g.bin [-aid] [-asym] [-decomp] [-coverage] [-types]
 //	localitylab spmv     -graph g.bin [-threads N] [-iters K] [-dir pull|push|pushread]
 //	localitylab simulate -graph g.bin [-threads N] [-ecs]
@@ -292,10 +292,7 @@ func cmdGen(args []string) error {
 func cmdReorder(args []string) error {
 	fs := flag.NewFlagSet("reorder", flag.ExitOnError)
 	in := fs.String("graph", "", "input graph (binary)")
-	algSpec := fs.String("alg", "ro", "algorithm spec: name[:key=value,...], names: "+strings.Join(reorder.List(), ", "))
-	seed := fs.Uint64("seed", 1, "seed for randomized algorithms")
-	window := fs.Int("window", 5, "GOrder/hybrid sliding-window size")
-	cacheBytes := fs.Uint64("cachebytes", 0, "cache capacity for cache-aware variants (sb, ro)")
+	algSpec := fs.String("alg", "ro", "algorithm spec: name[:key=value,...] (e.g. go:window=7), names: "+strings.Join(reorder.List(), ", "))
 	out := fs.String("out", "", "output relabeled graph; empty skips writing")
 	fs.Parse(args)
 	if *in == "" {
@@ -305,37 +302,14 @@ func cmdReorder(args []string) error {
 	if err != nil {
 		return err
 	}
-	// -alg takes a full spec ("ro", "go:window=7", "brew:detect=lp"). The
-	// dedicated flags remain as shorthand: only flags the user set
-	// explicitly are folded into the spec, so the registry can still
-	// reject combinations the algorithm does not accept, and a key given
-	// both ways is a conflict rather than a silent override.
-	spec, err := reorder.ParseSpec(*algSpec)
-	if err != nil {
+	// -alg takes a full spec ("ro", "go:window=7", "brew:detect=lp"): a
+	// malformed one is a usage error, an unknown name or a rejected
+	// parameter a plain failure.
+	alg, err := reorder.New(*algSpec)
+	var specErr *reorder.SpecError
+	if errors.As(err, &specErr) {
 		return usagef("%v", err)
 	}
-	var flagErr error
-	addParam := func(key, value string) {
-		if _, dup := spec.Get(key); dup {
-			flagErr = usagef("option %s given both as -%s and inside -alg %q", key, key, *algSpec)
-			return
-		}
-		spec.Params = append(spec.Params, reorder.Param{Key: key, Value: value})
-	}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			addParam("seed", fmt.Sprintf("%d", *seed))
-		case "window":
-			addParam("window", fmt.Sprintf("%d", *window))
-		case "cachebytes":
-			addParam("cachebytes", fmt.Sprintf("%d", *cacheBytes))
-		}
-	})
-	if flagErr != nil {
-		return flagErr
-	}
-	alg, err := spec.New()
 	if err != nil {
 		return err
 	}
@@ -361,8 +335,7 @@ func cmdReorder(args []string) error {
 }
 
 // cmdAlgorithms prints the registry's metadata: one row per algorithm
-// with its cost class, aliases, accepted generic options and whether it
-// takes structured spec parameters.
+// with its cost class, aliases and every spec key it accepts.
 func cmdAlgorithms(args []string) error {
 	fs := flag.NewFlagSet("algorithms", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of the table")
@@ -377,12 +350,6 @@ func cmdAlgorithms(args []string) error {
 	fmt.Fprintln(w, "NAME\tCLASS\tALIASES\tOPTIONS\tDESCRIPTION")
 	for _, info := range infos {
 		opts := strings.Join(info.Accepts, ",")
-		if info.Composable {
-			if opts != "" {
-				opts += ","
-			}
-			opts += "spec..."
-		}
 		if opts == "" {
 			opts = "-"
 		}
@@ -658,9 +625,18 @@ func cmdExperiment(args []string) error {
 	s.Obs = reg
 	ds := expt.Suite(size)
 	if *graphsFlag != "" {
+		// A dataset is named by its file's base name, and the session
+		// memoizes graphs by that name, so two files sharing one would
+		// silently report the first graph twice.
 		ds = nil
+		pathOf := make(map[string]string)
 		for _, path := range strings.Split(*graphsFlag, ",") {
-			d, err := datasetFromFile(strings.TrimSpace(path))
+			path = strings.TrimSpace(path)
+			if prev, dup := pathOf[filepath.Base(path)]; dup {
+				return usagef("-graphs: %s and %s share the dataset name %q", prev, path, filepath.Base(path))
+			}
+			pathOf[filepath.Base(path)] = path
+			d, err := datasetFromFile(path)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphlocality/internal/expt"
@@ -61,6 +62,31 @@ func TestDatasetFromFile(t *testing.T) {
 	}
 	if _, err := datasetFromFile("/does/not/exist"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestExperimentRejectsDuplicateGraphNames: datasets from -graphs are
+// named by base name and the session memoizes graphs by name, so two files
+// with one base name must be a usage error naming both, not a table whose
+// second row silently shows the first graph.
+func TestExperimentRejectsDuplicateGraphNames(t *testing.T) {
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a", "g.bin")
+	b := filepath.Join(dir, "b", "g.bin")
+	for i, path := range []string{a, b} {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := saveGraph(gen.Ring(uint32(64*(i+1))), path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := cmdExperiment([]string{"table1", "-size", "tiny", "-graphs", a + "," + b})
+	if got := exitCode(err); got != 2 {
+		t.Fatalf("exit code %d (err %v), want 2", got, err)
+	}
+	if !strings.Contains(err.Error(), a) || !strings.Contains(err.Error(), b) {
+		t.Errorf("error %q should name both paths", err)
 	}
 }
 

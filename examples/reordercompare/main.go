@@ -18,21 +18,13 @@ import (
 func main() {
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<15, 10, 21))
 	// Scramble first so every algorithm starts from a locality-free order.
-	g = g.Relabel(reorder.Random{Seed: 99}.Relabel(g))
+	g = g.Relabel(reorder.Perm(reorder.MustNew("random:seed=99"), g))
 	fmt.Println("dataset (scrambled web graph):", g)
 
-	algs := []reorder.Algorithm{
-		reorder.Identity{},
-		reorder.Wrap(reorder.DegreeSort{}),
-		reorder.Wrap(reorder.HubSort{}),
-		reorder.Wrap(reorder.HubCluster{}),
-		reorder.Wrap(reorder.DBG{}),
-		reorder.Wrap(reorder.RCM{}),
-		reorder.MustNew("sb"),
-		reorder.MustNew("sb++"),
-		reorder.MustNew("go"),
-		reorder.MustNew("ro"),
-		reorder.MustNew("ro", reorder.WithEDR(1, uint32(g.HubThreshold()))),
+	var algs []reorder.Algorithm
+	for _, spec := range []string{"identity", "degsort", "hubsort", "hubcluster", "dbg", "rcm",
+		"sb", "sb++", "go", "ro", fmt.Sprintf("ro:edr=1-%d", uint32(g.HubThreshold()))} {
+		algs = append(algs, reorder.MustNew(spec))
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -38,7 +38,7 @@ func GlobalAlgorithms() []reorder.Algorithm {
 func AlgorithmsFromSpecs(specs []string) ([]reorder.Algorithm, error) {
 	algs := make([]reorder.Algorithm, 0, len(specs))
 	for _, spec := range specs {
-		alg, err := reorder.NewFromSpec(strings.TrimSpace(spec))
+		alg, err := reorder.New(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func BrewExperiment(s *Session, datasets []Dataset) []BrewRow {
 		algs = append(algs, brewAlg{reorder.MustNew(info.Name), info.Class})
 	}
 	sort.Slice(algs, func(i, j int) bool { return algs[i].alg.Name() < algs[j].alg.Name() })
-	algs = append(algs, brewAlg{reorder.MustNewFromSpec("brew"), reorder.ClassMeta})
+	algs = append(algs, brewAlg{reorder.MustNew("brew"), reorder.ClassMeta})
 
 	type cell struct {
 		ds Dataset

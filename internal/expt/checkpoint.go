@@ -25,26 +25,29 @@ import (
 //
 // Artifact layout: a store container with two sections —
 //
-//	"meta": version u32, |V| u32, elapsed ns u64, alloc bytes u64
+//	"meta": version u32, |V| u32, elapsed ns u64, alloc bytes u64,
+//	        dataset name, algorithm name (each a u32 length + bytes)
 //	"perm": [|V|]u32 little-endian (old ID → new ID)
 //
 // Loads validate the container checksums (in the store), then the meta
-// version, the expected vertex count, and that the payload is a proper
-// permutation of [0, |V|).
+// version, the exact dataset and algorithm names (file names are
+// sanitized, so two pairs can share one file), the expected vertex count,
+// and that the payload is a proper permutation of [0, |V|).
 
 const (
 	permMetaSection = "meta"
 	permDataSection = "perm"
-	// permMetaVersion 2 is the store-container generation; version 1 was
-	// the pre-store "GLPC" flat file, which reads as unverifiable now and
-	// is simply regenerated.
-	permMetaVersion = 2
+	// permMetaVersion 3 records the dataset and algorithm names. Older
+	// versions (2: the store container without names; 1: the pre-store
+	// "GLPC" flat file) fail validation and are simply regenerated.
+	permMetaVersion = 3
 )
 
 // CheckpointName returns the artifact name of a dataset/algorithm pair
 // inside a cache directory. Names are sanitized so algorithm names like
 // "RO+GO" or dataset names derived from file paths cannot escape the
-// directory.
+// directory; the sanitizing is lossy, which is why the artifact itself
+// records the exact names.
 func CheckpointName(dsName, algName string) string {
 	return sanitize(dsName) + "__" + sanitize(algName) + ".perm"
 }
@@ -71,14 +74,18 @@ func sanitize(s string) string {
 	return out
 }
 
-// encodePermSections serializes a reordering result into the checkpoint
-// container sections.
-func encodePermSections(res reorder.Result) []store.Section {
-	meta := make([]byte, 0, 24)
+// encodePermSections serializes the reordering result of a
+// dataset/algorithm pair into the checkpoint container sections.
+func encodePermSections(dsName, algName string, res reorder.Result) []store.Section {
+	meta := make([]byte, 0, 32+len(dsName)+len(algName))
 	meta = binary.LittleEndian.AppendUint32(meta, permMetaVersion)
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(res.Perm)))
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(res.Elapsed.Nanoseconds()))
 	meta = binary.LittleEndian.AppendUint64(meta, res.AllocBytes)
+	for _, name := range []string{dsName, algName} {
+		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(name)))
+		meta = append(meta, name...)
+	}
 	perm := make([]byte, 4*len(res.Perm))
 	for i, v := range res.Perm {
 		binary.LittleEndian.PutUint32(perm[4*i:], v)
@@ -89,18 +96,17 @@ func encodePermSections(res reorder.Result) []store.Section {
 	}
 }
 
-// decodePermSections validates and decodes checkpoint sections. n is the
-// expected vertex count; a checkpoint of any other size (e.g. written
-// for a different -size suite) is rejected. path only labels errors.
-func decodePermSections(sections []store.Section, path, algName string, n uint32) (reorder.Result, error) {
+// decodePermSections validates and decodes checkpoint sections. The
+// checkpoint must record exactly dsName and algName, and n is the expected
+// vertex count; a checkpoint of another pair that sanitizes to the same
+// file name, or of another size (e.g. written for a different -size
+// suite), is rejected. path only labels errors.
+func decodePermSections(sections []store.Section, path, dsName, algName string, n uint32) (reorder.Result, error) {
 	meta, ok := store.FindSection(sections, permMetaSection)
 	if !ok {
 		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: missing %q section", path, permMetaSection)
 	}
-	if len(meta) != 24 {
-		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: meta section is %d bytes, want 24", path, len(meta))
-	}
-	br := bytes.NewReader(meta)
+	br := bytes.NewBuffer(meta)
 	var version, count uint32
 	var elapsedNs, alloc uint64
 	for _, p := range []any{&version, &count, &elapsedNs, &alloc} {
@@ -110,6 +116,18 @@ func decodePermSections(sections []store.Section, path, algName string, n uint32
 	}
 	if version != permMetaVersion {
 		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: unsupported version %d", path, version)
+	}
+	for _, want := range []string{dsName, algName} {
+		var size uint32
+		if err := binary.Read(br, binary.LittleEndian, &size); err != nil || uint64(size) > uint64(br.Len()) {
+			return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: truncated meta names", path)
+		}
+		if got := br.Next(int(size)); string(got) != want {
+			return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: written for %q, want %q", path, got, want)
+		}
+	}
+	if br.Len() != 0 {
+		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: %d trailing meta bytes", path, br.Len())
 	}
 	if count != n {
 		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: %d vertices, want %d", path, count, n)
@@ -156,7 +174,7 @@ func SavePermCheckpointFS(fsys vfs.FS, dir, dsName, algName string, res reorder.
 	if err != nil {
 		return err
 	}
-	return st.WriteArtifact(CheckpointName(dsName, algName), encodePermSections(res))
+	return st.WriteArtifact(CheckpointName(dsName, algName), encodePermSections(dsName, algName, res))
 }
 
 // LoadPermCheckpoint reads and fully verifies the checkpoint for the
@@ -179,5 +197,5 @@ func LoadPermCheckpointFS(fsys vfs.FS, dir, dsName, algName string, n uint32) (r
 	if err != nil {
 		return reorder.Result{}, err
 	}
-	return decodePermSections(sections, st.Path(name), algName, n)
+	return decodePermSections(sections, st.Path(name), dsName, algName, n)
 }

@@ -123,7 +123,7 @@ type cancelAfterPeer struct {
 
 func (cancelAfterPeer) Name() string { return "cancelpeer" }
 
-func (c cancelAfterPeer) Relabel(g *graph.Graph) graph.Permutation {
+func (c cancelAfterPeer) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if _, err := LoadPermCheckpoint(c.dir, c.peerDS, c.peerAlg, c.vertices); err == nil {
@@ -132,7 +132,7 @@ func (c cancelAfterPeer) Relabel(g *graph.Graph) graph.Permutation {
 		time.Sleep(time.Millisecond)
 	}
 	c.cancel()
-	return graph.Identity(g.NumVertices())
+	return graph.Identity(g.NumVertices()), nil
 }
 
 // waitForCancel is a context-first algorithm that blocks until the run is
@@ -160,14 +160,14 @@ func TestCancellationMidGridLeavesValidCheckpoints(t *testing.T) {
 	s.CacheDir = dir
 	s.Parallel = 4
 
-	peer := reorder.Wrap(reorder.DegreeSort{})
-	trigger := reorder.Wrap(cancelAfterPeer{
+	peer := reorder.DegreeSort{}
+	trigger := cancelAfterPeer{
 		dir:      dir,
 		peerDS:   ds[0].Name,
 		peerAlg:  peer.Name(),
 		vertices: uint32(s.Graph(ds[0]).NumVertices()),
 		cancel:   cancel,
-	})
+	}
 	algs := []reorder.Algorithm{peer, trigger, waitForCancel{}}
 
 	rows := TableII(s, ds, algs)

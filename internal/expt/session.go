@@ -326,7 +326,7 @@ func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
 		name := CheckpointName(ds.Name, alg.Name())
 		var res reorder.Result
 		check := func(sections []store.Section) error {
-			r, err := decodePermSections(sections, st.Path(name), alg.Name(), g.NumVertices())
+			r, err := decodePermSections(sections, st.Path(name), ds.Name, alg.Name(), g.NumVertices())
 			if err == nil {
 				res = r
 			}
@@ -338,7 +338,7 @@ func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
 				return nil, err
 			}
 			res = r
-			return encodePermSections(r), nil
+			return encodePermSections(ds.Name, alg.Name(), r), nil
 		})
 		if err != nil {
 			return degrade(err)

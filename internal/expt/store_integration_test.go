@@ -99,7 +99,7 @@ func TestConcurrentSessionsShareCache(t *testing.T) {
 // rename — or transparently recomputes, and in both cases ends with the
 // same permutation and a validating checkpoint on disk.
 func TestSessionCrashRestartSweep(t *testing.T) {
-	alg := reorder.Wrap(reorder.DegreeSort{})
+	alg := reorder.DegreeSort{}
 	for _, point := range store.CrashPoints() {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
@@ -179,7 +179,7 @@ func TestSessionCrashRestartSweep(t *testing.T) {
 // the corruption-handling contract.
 func TestSessionQuarantinesCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	alg := reorder.Wrap(reorder.DegreeSort{})
+	alg := reorder.DegreeSort{}
 	s1, ds := tinySession()
 	d := ds[0]
 	s1.CacheDir = dir

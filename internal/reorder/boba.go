@@ -1,8 +1,8 @@
 package reorder
 
 import (
+	"context"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"graphlocality/internal/graph"
@@ -33,34 +33,18 @@ func init() {
 		Name:        "boba",
 		Description: "parallel sort-free degree bucketing (BOBA): DBG's classes via two counting passes, bit-equal at any worker count",
 		Class:       ClassLight,
-		Accepts:     []string{OptSeed},
-		New:         func(*Options) Algorithm { return Wrap(Boba{}) },
-		Composable:  composeBoba,
-	})
-}
-
-// composeBoba maps the spec's structured parameters onto a Boba with typed
-// value errors, mirroring composeBrew.
-func composeBoba(_ *Options, spec Spec) (Algorithm, error) {
-	b := Boba{}
-	for _, p := range spec.Params {
-		if genericSpecKeys[p.Key] {
-			continue // already validated as generic options
-		}
-		switch p.Key {
-		case "workers":
-			v, err := strconv.Atoi(p.Value)
-			if err != nil || v < 0 {
-				return nil, &OptionError{Alg: "boba", Option: "workers", Value: p.Value,
-					Reason: "want a non-negative integer (0 = GOMAXPROCS)"}
+		Accepts:     []string{OptSeed, "workers"},
+		New: func(s Spec) (Algorithm, error) {
+			if _, err := s.uintParam(OptSeed, 0); err != nil {
+				return nil, err // validated for grid uniformity, then ignored
 			}
-			b.Workers = v
-		default:
-			return nil, &OptionError{Alg: "boba", Option: p.Key,
-				Reason: "accepts: seed, workers"}
-		}
-	}
-	return Wrap(b), nil
+			workers, err := s.intParam("workers", 0, 0)
+			if err != nil {
+				return nil, err
+			}
+			return Boba{Workers: workers}, nil
+		},
+	})
 }
 
 // bobaGroups bounds the degree-class index: group() of a uint32 degree is
@@ -68,7 +52,7 @@ func composeBoba(_ *Options, spec Spec) (Algorithm, error) {
 const bobaGroups = 33
 
 // bobaGroup is DBG's power-of-two degree class, kept in lockstep with
-// DBG.Relabel's group closure: 0 for degree 0, else floor(log2(d))+1.
+// DBG.Reorder's group closure: 0 for degree 0, else floor(log2(d))+1.
 func bobaGroup(d uint32) int {
 	gid := 0
 	for d > 0 {
@@ -78,11 +62,12 @@ func bobaGroup(d uint32) int {
 	return gid
 }
 
-// Name implements ContextFree.
+// Name implements Algorithm. Workers is not part of the identity: the
+// output is bit-identical at every worker count.
 func (Boba) Name() string { return "BOBA" }
 
-// Relabel implements ContextFree.
-func (b Boba) Relabel(g *graph.Graph) graph.Permutation {
+// Reorder implements Algorithm; it cannot fail.
+func (b Boba) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	n := int(g.NumVertices())
 	deg := g.TotalDegrees()
 	w := b.Workers
@@ -142,5 +127,5 @@ func (b Boba) Relabel(g *graph.Graph) graph.Permutation {
 		}(wk)
 	}
 	wg.Wait()
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }

@@ -70,9 +70,8 @@ func init() {
 		Aliases:     []string{"graphbrew"},
 		Description: "per-community hybrid: detect communities, classify each, reorder each with the best-suited RA",
 		Class:       ClassMeta,
-		Accepts:     []string{OptSeed},
-		New:         func(o *Options) Algorithm { return &Brew{Seed: o.Seed} },
-		Composable:  composeBrew,
+		Accepts:     []string{OptSeed, "detect", "hub", "dense", "else", "resolution", "minsize"},
+		New:         newBrew,
 	})
 }
 
@@ -94,14 +93,19 @@ func brewSubAlg(option, value string) (string, error) {
 	return info.Name, nil
 }
 
-// composeBrew is the Composable factory: it maps the spec's structured
-// parameters onto a Brew, validating every value with typed errors.
-func composeBrew(o *Options, spec Spec) (Algorithm, error) {
-	b := &Brew{Seed: o.Seed}
+// newBrew is brew's registry factory: it maps the spec's parameters onto
+// a Brew, validating every value with typed errors.
+func newBrew(spec Spec) (Algorithm, error) {
+	seed, err := spec.uintParam(OptSeed, 1)
+	if err != nil {
+		return nil, err
+	}
+	minSize, err := spec.intParam("minsize", 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	b := &Brew{Seed: seed, MinSize: minSize}
 	for _, p := range spec.Params {
-		if genericSpecKeys[p.Key] {
-			continue // already resolved into o
-		}
 		switch p.Key {
 		case "detect":
 			if !brewDetectors[p.Value] {
@@ -129,16 +133,6 @@ func composeBrew(o *Options, spec Spec) (Algorithm, error) {
 					Reason: "want a number > 0"}
 			}
 			b.Resolution = r
-		case "minsize":
-			m, err := strconv.Atoi(p.Value)
-			if err != nil || m < 1 {
-				return nil, &OptionError{Alg: "brew", Option: "minsize", Value: p.Value,
-					Reason: "want an integer >= 1"}
-			}
-			b.MinSize = m
-		default:
-			return nil, &OptionError{Alg: "brew", Option: p.Key,
-				Reason: "accepts: dense, detect, else, hub, minsize, resolution, seed"}
 		}
 	}
 	return b, nil
@@ -171,38 +165,18 @@ func (b *Brew) resolved() (detect, hub, dense, els string, resolution float64, s
 	return
 }
 
-// Name implements Algorithm. The default configuration is just "Brew";
-// non-default parameters are appended in a fixed order so that distinct
-// configurations never collide in caches keyed by algorithm name (the
-// expt session memoizes on dataset+Name).
+// Name implements Algorithm: "Brew" for the default configuration, else
+// the non-default parameters in a fixed order.
 func (b *Brew) Name() string {
 	detect, hub, dense, els, resolution, seed, minSize := b.resolved()
-	var parts []string
-	if detect != brewDefaultDetect {
-		parts = append(parts, "detect="+detect)
-	}
-	if hub != brewDefaultHub {
-		parts = append(parts, "hub="+hub)
-	}
-	if dense != brewDefaultDense {
-		parts = append(parts, "dense="+dense)
-	}
-	if els != brewDefaultElse {
-		parts = append(parts, "else="+els)
-	}
-	if resolution != 1.0 {
-		parts = append(parts, fmt.Sprintf("resolution=%g", resolution))
-	}
-	if minSize != 16 {
-		parts = append(parts, fmt.Sprintf("minsize=%d", minSize))
-	}
-	if seed != 1 && seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", seed))
-	}
-	if len(parts) == 0 {
-		return "Brew"
-	}
-	return "Brew[" + strings.Join(parts, ",") + "]"
+	return label("Brew",
+		nameParam{"detect", detect, brewDefaultDetect},
+		nameParam{"hub", hub, brewDefaultHub},
+		nameParam{"dense", dense, brewDefaultDense},
+		nameParam{"else", els, brewDefaultElse},
+		nameParam{"resolution", strconv.FormatFloat(resolution, 'g', -1, 64), "1"},
+		nameParam{"minsize", strconv.Itoa(minSize), "16"},
+		nameParam{OptSeed, strconv.FormatUint(seed, 10), "1"})
 }
 
 // Reorder implements Algorithm. On cancellation, communities already

@@ -117,7 +117,7 @@ func TestBrewDifferentialSingleCommunity(t *testing.T) {
 		for gname, g := range graphs {
 			g := g
 			t.Run(forced+"/"+gname, func(t *testing.T) {
-				brew, err := NewFromSpec("brew:detect=none,hub=" + forced +
+				brew, err := New("brew:detect=none,hub=" + forced +
 					",dense=" + forced + ",else=" + forced)
 				if err != nil {
 					t.Fatal(err)
@@ -204,11 +204,13 @@ func TestBrewName(t *testing.T) {
 		{"brew:hub=hs", "Brew"}, // alias resolves to the default hubsort
 		{"brew:else=go,resolution=2.5", "Brew[else=go,resolution=2.5]"},
 		{"brew:seed=9,minsize=4", "Brew[minsize=4,seed=9]"},
+		{"brew:seed=0", "Brew[seed=0]"}, // seed 0 shuffles differently from the default 1
+		{"brew:minsize=16,seed=1", "Brew"},
 	}
 	for _, c := range cases {
-		alg, err := NewFromSpec(c.spec)
+		alg, err := New(c.spec)
 		if err != nil {
-			t.Errorf("NewFromSpec(%q): %v", c.spec, err)
+			t.Errorf("New(%q): %v", c.spec, err)
 			continue
 		}
 		if alg.Name() != c.want {
@@ -228,10 +230,12 @@ func TestBrewSpecErrors(t *testing.T) {
 		"brew:minsize=0",       // minsize below 1
 		"brew:strength=11",     // unknown structured key
 		"brew:window=3",        // generic key brew does not accept
+		"brew:seed=-1",         // seed not unsigned
+		"brew:minsize=many",    // non-numeric minsize
 	}
 	for _, spec := range bad {
-		if _, err := NewFromSpec(spec); err == nil {
-			t.Errorf("NewFromSpec(%q) accepted, want error", spec)
+		if _, err := New(spec); err == nil {
+			t.Errorf("New(%q) accepted, want error", spec)
 		}
 	}
 }

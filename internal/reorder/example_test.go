@@ -12,7 +12,7 @@ func ExampleDegreeSort() {
 	g := graph.FromEdges(3, []graph.Edge{
 		{Src: 2, Dst: 0}, {Src: 2, Dst: 1}, {Src: 0, Dst: 2},
 	})
-	perm := reorder.DegreeSort{}.Relabel(g)
+	perm := reorder.Perm(reorder.DegreeSort{}, g)
 	fmt.Println("new ID of vertex 2:", perm[2])
 	// Output: new ID of vertex 2: 0
 }
@@ -26,15 +26,15 @@ func ExampleRun() {
 	// Output: Initial perm is valid: true
 }
 
-func ExampleNewFromSpec() {
-	alg, err := reorder.NewFromSpec("ro")
+func ExampleNew() {
+	alg, err := reorder.New("ro")
 	fmt.Println(alg.Name(), err)
-	alg, err = reorder.NewFromSpec("go:window=7")
+	alg, err = reorder.New("go:window=7")
 	fmt.Println(alg.Name(), err)
-	_, err = reorder.NewFromSpec("nope")
+	_, err = reorder.New("nope")
 	fmt.Println(err != nil)
 	// Output:
 	// RO <nil>
-	// GO <nil>
+	// GO[window=7] <nil>
 	// true
 }

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"context"
+	"strconv"
 
 	"graphlocality/internal/graph"
 	"graphlocality/internal/runctl"
@@ -40,12 +41,29 @@ func init() {
 		Description: "GOrder: sliding-window sibling/neighbour score maximization (SIGMOD'16)",
 		Class:       ClassHeavy,
 		Accepts:     []string{OptWindow},
-		New:         func(o *Options) Algorithm { return &GOrder{Window: o.Window} },
+		New: func(s Spec) (Algorithm, error) {
+			w, err := s.intParam(OptWindow, 5, 1)
+			if err != nil {
+				return nil, err
+			}
+			return &GOrder{Window: w}, nil
+		},
 	})
 }
 
+// effectiveWindow maps a configured GOrder window to the one used:
+// values below 1 select the paper's default of 5.
+func effectiveWindow(w int) int {
+	if w < 1 {
+		return 5
+	}
+	return w
+}
+
 // Name implements Algorithm.
-func (o *GOrder) Name() string { return "GO" }
+func (o *GOrder) Name() string {
+	return label("GO", nameParam{OptWindow, strconv.Itoa(effectiveWindow(o.Window)), "5"})
+}
 
 // Reorder implements Algorithm: the placement loop polls ctx every
 // PollEvery placements. On cancellation the not-yet-placed vertices keep
@@ -53,10 +71,7 @@ func (o *GOrder) Name() string { return "GO" }
 // permutation is still a valid relabeling. GOrder's configuration is
 // read-only during a run, so one instance may reorder concurrently.
 func (o *GOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation, error) {
-	w := o.Window
-	if w < 1 {
-		w = 5
-	}
+	w := effectiveWindow(o.Window)
 	n := g.NumVertices()
 	order := make([]uint32, 0, n)
 	if n == 0 {

@@ -3,6 +3,7 @@ package reorder
 import (
 	"context"
 	"math"
+	"strconv"
 
 	"graphlocality/internal/graph"
 )
@@ -29,12 +30,20 @@ func init() {
 		Description: "RO over low-degree vertices, then GOrder over the hub block (paper §VIII-C)",
 		Class:       ClassMeta,
 		Accepts:     []string{OptWindow},
-		New:         func(o *Options) Algorithm { return &Hybrid{Window: o.Window} },
+		New: func(s Spec) (Algorithm, error) {
+			w, err := s.intParam(OptWindow, 5, 1)
+			if err != nil {
+				return nil, err
+			}
+			return &Hybrid{Window: w}, nil
+		},
 	})
 }
 
 // Name implements Algorithm.
-func (h *Hybrid) Name() string { return "RO+GO" }
+func (h *Hybrid) Name() string {
+	return label("RO+GO", nameParam{OptWindow, strconv.Itoa(effectiveWindow(h.Window)), "5"})
+}
 
 // Reorder implements Algorithm: both phases inherit ctx, and cancellation
 // in either still yields a valid (partially optimized) permutation

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -19,20 +20,26 @@ func TestNewUnknownAlgorithm(t *testing.T) {
 }
 
 func TestNewRejectsUnknownOption(t *testing.T) {
-	_, err := New("go", WithSeed(3))
-	if err == nil {
-		t.Fatal("go accepted a seed option it does not consume")
+	_, err := New("go:seed=3")
+	var oe *OptionError
+	if !errors.As(err, &oe) {
+		t.Fatalf("go accepted a seed option it does not consume: %v", err)
 	}
-	if !strings.Contains(err.Error(), OptSeed) {
-		t.Errorf("error should name the offending option: %v", err)
+	if oe.Option != OptSeed || !strings.Contains(err.Error(), "accepts: window") {
+		t.Errorf("error should name the offending option and the accepted ones: %v", err)
 	}
-	if _, err := New("identity", WithCacheBytes(1)); err == nil {
-		t.Error("identity accepted cachebytes")
+	if _, err := New("identity:cachebytes=1"); !errors.As(err, &oe) {
+		t.Errorf("identity accepted cachebytes: %v", err)
+	}
+	// The key check runs before any value is read, so a bad value for an
+	// unaccepted key still reports the key.
+	if _, err := New("sb++:cachebytes=x"); !errors.As(err, &oe) || oe.Value != "" {
+		t.Errorf("sb++:cachebytes=x = %v, want a not-accepted *OptionError", err)
 	}
 }
 
 func TestRegisterDuplicateErrors(t *testing.T) {
-	factory := func(*Options) Algorithm { return Identity{} }
+	factory := plain(Identity{})
 	if err := Register(Registration{Name: "identity", New: factory}); err == nil {
 		t.Error("duplicate canonical name accepted")
 	}
@@ -73,51 +80,61 @@ func TestListCoversBuiltins(t *testing.T) {
 }
 
 func TestOptionsReachFactories(t *testing.T) {
-	gw := MustNew("go", WithWindow(8)).(*GOrder)
-	if gw.Window != 8 {
-		t.Errorf("Window = %d, want 8", gw.Window)
+	gw := MustNew("go:window=8").(*GOrder)
+	if gw.Window != 8 || gw.Name() != "GO[window=8]" {
+		t.Errorf("window not applied: %+v (%s)", gw, gw.Name())
 	}
-	ro := MustNew("ro", WithEDR(2, 50)).(*RabbitOrder)
-	if ro.MinDegree != 2 || ro.MaxDegree != 50 || ro.Name() != "RO-EDR" {
+	ro := MustNew("ro:edr=2-50").(*RabbitOrder)
+	if ro.MinDegree != 2 || ro.MaxDegree != 50 || ro.Name() != "RO[edr=2-50]" {
 		t.Errorf("EDR options not applied: %+v (%s)", ro, ro.Name())
 	}
-	sb := MustNew("sb", WithCacheBytes(512)).(*SlashBurn)
-	if sb.CacheBytes != 512 || sb.Name() != "SB-CA" {
+	sb := MustNew("sb:cachebytes=512").(*SlashBurn)
+	if sb.CacheBytes != 512 || sb.Name() != "SB[cachebytes=512]" {
 		t.Errorf("cachebytes option not applied: %+v (%s)", sb, sb.Name())
 	}
-	roCA := MustNew("ro", WithCacheBytes(256)).(*RabbitOrder)
-	if roCA.MaxCommunitySize != 256/8 {
-		t.Errorf("MaxCommunitySize = %d, want %d", roCA.MaxCommunitySize, 256/8)
+	roCA := MustNew("ro:cachebytes=256").(*RabbitOrder)
+	if roCA.MaxCommunitySize != 256/8 || roCA.Name() != "RO[cachebytes=256]" {
+		t.Errorf("MaxCommunitySize = %d (%s), want %d", roCA.MaxCommunitySize, roCA.Name(), 256/8)
+	}
+	// Explicit defaults build the default configuration and its name.
+	for spec, want := range map[string]string{
+		"go:window=5": "GO", "ro:edr=0-0,cachebytes=0": "RO", "sb:cachebytes=0": "SB",
+		"random:seed=1": "Random", "hybrid:window=5": "RO+GO",
+	} {
+		if got := MustNew(spec).Name(); got != want {
+			t.Errorf("%s: Name = %q, want %q", spec, got, want)
+		}
 	}
 }
 
 func TestRandomSeedOption(t *testing.T) {
 	g := gen.Ring(128)
 	def := Perm(MustNew("random"), g)
-	one := Random{Seed: 1}.Relabel(g)
+	one := Perm(Random{Seed: 1}, g)
 	if !equalPerm(def, one) {
 		t.Error("default random seed is not 1")
 	}
-	other := Perm(MustNew("random", WithSeed(42)), g)
+	other := Perm(MustNew("random:seed=42"), g)
 	if equalPerm(def, other) {
-		t.Error("WithSeed(42) did not change the shuffle")
+		t.Error("random:seed=42 did not change the shuffle")
 	}
 }
 
-func TestWrapIgnoresContext(t *testing.T) {
+// TestCheapAlgorithmsIgnoreContext: the combinatorial orderings have no
+// cancellation points, so even a dead context yields a full permutation.
+func TestCheapAlgorithmsIgnoreContext(t *testing.T) {
 	g := gen.Ring(32)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	alg := Wrap(DegreeSort{})
-	if alg.Name() != "DegSort" {
-		t.Errorf("Name = %q", alg.Name())
-	}
-	perm, err := alg.Reorder(ctx, g)
-	if err != nil {
-		t.Fatalf("context-free algorithm returned error: %v", err)
-	}
-	if err := perm.Validate(); err != nil {
-		t.Fatal(err)
+	for _, alg := range []Algorithm{Random{Seed: 1}, DegreeSort{}, HubSort{}, HubCluster{},
+		DBG{}, RCM{}, BFSOrder{}, Boba{}} {
+		perm, err := alg.Reorder(ctx, g)
+		if err != nil {
+			t.Fatalf("%s returned error: %v", alg.Name(), err)
+		}
+		if err := perm.Validate(); err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
 	}
 }
 

@@ -104,8 +104,7 @@ func TestReorderProperties(t *testing.T) {
 }
 
 // TestReorderDeterminism runs every registered algorithm (constructed
-// through the spec grammar, so Composable factories are covered too) three
-// times concurrently on the same graph and requires bit-identical
+// through the spec grammar, like every caller's) three times concurrently on the same graph and requires bit-identical
 // permutations. This is the registry-wide determinism property new
 // algorithms inherit automatically: output must be a function of the graph
 // and options alone — never of scheduling — which under -race also proves
@@ -123,9 +122,9 @@ func TestReorderDeterminism(t *testing.T) {
 				errs := make([]error, instances)
 				var wg sync.WaitGroup
 				for i := 0; i < instances; i++ {
-					alg, err := reorder.NewFromSpec(name)
+					alg, err := reorder.New(name)
 					if err != nil {
-						t.Fatalf("NewFromSpec(%q): %v", name, err)
+						t.Fatalf("New(%q): %v", name, err)
 					}
 					wg.Add(1)
 					go func(i int, alg reorder.Algorithm) {
@@ -156,6 +155,73 @@ func TestAIDInvariantUnderIdentity(t *testing.T) {
 		rg := g.Relabel(graph.Identity(g.NumVertices()))
 		if got, want := core.MeanAID(rg), core.MeanAID(g); got != want {
 			t.Errorf("%s: MeanAID changed under identity relabel: %v vs %v", gname, got, want)
+		}
+	}
+}
+
+// nameIdentityValues holds, for every spec key any registration accepts,
+// two valid non-default values. A key missing here fails
+// TestAlgorithmNameIdentity, so a new parameter cannot skip the check.
+var nameIdentityValues = map[string][2]string{
+	reorder.OptSeed:       {"0", "7"},
+	reorder.OptWindow:     {"1", "8"},
+	reorder.OptEDR:        {"2-50", "1-0"},
+	reorder.OptCacheBytes: {"24", "4096"},
+	"workers":             {"1", "3"},
+	"detect":              {"lp", "none"},
+	"hub":                 {"dbg", "degsort"},
+	"dense":               {"go", "hubsort"},
+	"else":                {"rcm", "bfs"},
+	"resolution":          {"0.5", "2"},
+	"minsize":             {"1", "64"},
+}
+
+// TestAlgorithmNameIdentity pins Name as the identity of a configuration:
+// the expt session keys its memo, stage names and checkpoints on it, so two
+// configurations sharing a name must produce the same permutation — put
+// the other way, configurations whose permutations differ must have
+// different names. Every registration is built in its default
+// configuration plus two non-default values of each key it accepts, and
+// every pair of configurations is compared on three small graphs.
+func TestAlgorithmNameIdentity(t *testing.T) {
+	graphs := []*graph.Graph{
+		gen.SocialNetwork(8, 8, 3),
+		gen.WebGraph(gen.DefaultWebGraph(1<<8, 8, 5)),
+		gen.ErdosRenyi(1<<8, (1<<8)*6, 9),
+	}
+	type config struct {
+		spec, name string
+		perms      []graph.Permutation
+	}
+	var configs []config
+	for _, info := range reorder.Registrations() {
+		specs := []string{info.Name}
+		for _, key := range info.Accepts {
+			vals, ok := nameIdentityValues[key]
+			if !ok {
+				t.Fatalf("%s accepts %q but nameIdentityValues has no values for it", info.Name, key)
+			}
+			for _, v := range vals {
+				specs = append(specs, info.Name+":"+key+"="+v)
+			}
+		}
+		for _, spec := range specs {
+			alg, err := reorder.New(spec)
+			if err != nil {
+				t.Fatalf("New(%q): %v", spec, err)
+			}
+			c := config{spec: spec, name: alg.Name()}
+			for _, g := range graphs {
+				c.perms = append(c.perms, reorder.Perm(alg, g))
+			}
+			configs = append(configs, c)
+		}
+	}
+	for i, a := range configs {
+		for _, b := range configs[i+1:] {
+			if a.name == b.name && !reflect.DeepEqual(a.perms, b.perms) {
+				t.Errorf("%q and %q share the name %q but produce different permutations", a.spec, b.spec, a.name)
+			}
 		}
 	}
 }

@@ -2,7 +2,10 @@ package reorder
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"graphlocality/internal/graph"
@@ -52,12 +55,19 @@ func init() {
 		Description: "Rabbit-Order: modularity-greedy community growth + dendrogram DFS (IPDPS'16)",
 		Class:       ClassHeavy,
 		Accepts:     []string{OptEDR, OptCacheBytes},
-		New: func(o *Options) Algorithm {
-			return &RabbitOrder{
-				MinDegree:        o.EDRMin,
-				MaxDegree:        o.EDRMax,
-				MaxCommunitySize: uint32(o.CacheBytes / 8),
+		New: func(s Spec) (Algorithm, error) {
+			lo, hi, err := s.edrParam()
+			if err != nil {
+				return nil, err
 			}
+			cacheBytes, err := s.uintParam(OptCacheBytes, 0)
+			if err != nil {
+				return nil, err
+			}
+			// Clamped, not truncated: a cap past 2^32 vertices is no cap,
+			// where truncation would wrap it to a tiny one.
+			return &RabbitOrder{MinDegree: lo, MaxDegree: hi,
+				MaxCommunitySize: uint32(min(cacheBytes/8, math.MaxUint32))}, nil
 		},
 	})
 }
@@ -72,15 +82,12 @@ func (r *RabbitOrder) CommunitySizes() []uint32 {
 	return r.lastCommunitySizes
 }
 
-// Name implements Algorithm.
+// Name implements Algorithm. The cache size it reports is the effective
+// one, MaxCommunitySize 8-byte entries.
 func (r *RabbitOrder) Name() string {
-	if r.MinDegree != 0 || r.MaxDegree != 0 {
-		return "RO-EDR"
-	}
-	if r.MaxCommunitySize != 0 {
-		return "RO-CA"
-	}
-	return "RO"
+	return label("RO",
+		nameParam{OptEDR, fmt.Sprintf("%d-%d", r.MinDegree, r.MaxDegree), "0-0"},
+		nameParam{OptCacheBytes, strconv.FormatUint(8*uint64(r.MaxCommunitySize), 10), "0"})
 }
 
 // Reorder implements Algorithm: the community-merge loop polls ctx every

@@ -48,7 +48,7 @@ func TestRabbitOrderReducesGapOnHostGraph(t *testing.T) {
 	// Rabbit-Order must reduce the average neighbour gap versus the
 	// scrambled order.
 	base := gen.WebGraph(gen.DefaultWebGraph(2048, 6, 12))
-	g := base.Relabel(Random{Seed: 3}.Relabel(base))
+	g := base.Relabel(Perm(Random{Seed: 3}, base))
 	perm := Perm(MustNew("ro"), g)
 	h := g.Relabel(perm)
 	if gap(h) >= gap(g) {
@@ -72,12 +72,12 @@ func gap(g *graph.Graph) float64 {
 
 func TestRabbitOrderEDRRestriction(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(1024, 6, 9))
-	edr := MustNew("ro", WithEDR(1, 32))
+	edr := MustNew("ro:edr=1-32")
 	perm := Perm(edr, g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if edr.Name() != "RO-EDR" {
+	if edr.Name() != "RO[edr=1-32]" {
 		t.Errorf("Name = %q", edr.Name())
 	}
 	// Out-of-range vertices keep relative order at the tail: collect them
@@ -119,7 +119,7 @@ func TestRabbitOrderEDRFasterThanFull(t *testing.T) {
 	// §VIII-B2: restricting to the EDR reduces preprocessing time.
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<13, 8, 15))
 	full := Run(MustNew("ro"), g)
-	edr := Run(MustNew("ro", WithEDR(1, 64)), g)
+	edr := Run(MustNew("ro:edr=1-64"), g)
 	if err := edr.Perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,18 +283,18 @@ func refRabbitOrder(g *graph.Graph, minDeg, maxDeg, maxSize uint32) (graph.Permu
 // variants.
 func TestRabbitOrderMatchesMapOracle(t *testing.T) {
 	variants := []struct {
-		opts                    []Option
+		spec                    string
 		minDeg, maxDeg, maxSize uint32
 	}{
-		{nil, 0, 0, 0},
-		{[]Option{WithEDR(1, 4)}, 1, 4, 0},
-		{[]Option{WithEDR(2, 64)}, 2, 64, 0},
-		{[]Option{WithCacheBytes(64)}, 0, 0, 8},
-		{[]Option{WithCacheBytes(8 * 3)}, 0, 0, 3},
+		{"ro", 0, 0, 0},
+		{"ro:edr=1-4", 1, 4, 0},
+		{"ro:edr=2-64", 2, 64, 0},
+		{"ro:cachebytes=64", 0, 0, 8},
+		{"ro:cachebytes=24", 0, 0, 3},
 	}
 	for name, g := range oracleGraphs() {
 		for _, vr := range variants {
-			ro := MustNew("ro", vr.opts...).(*RabbitOrder)
+			ro := MustNew(vr.spec).(*RabbitOrder)
 			got := Perm(ro, g)
 			want, wantSizes := refRabbitOrder(g, vr.minDeg, vr.maxDeg, vr.maxSize)
 			if !reflect.DeepEqual(got, want) {

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"cmp"
+	"context"
 	"slices"
 
 	"graphlocality/internal/graph"
@@ -20,15 +21,15 @@ func init() {
 		Name:        "rcm",
 		Description: "Reverse Cuthill-McKee bandwidth reduction (1969 baseline)",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(RCM{}) },
+		New:         plain(RCM{}),
 	})
 }
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (RCM) Name() string { return "RCM" }
 
-// Relabel implements ContextFree.
-func (RCM) Relabel(g *graph.Graph) graph.Permutation {
+// Reorder implements Algorithm; it cannot fail.
+func (RCM) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	u := g.Undirected()
 	n := u.NumVertices()
 	deg := make([]uint32, n)
@@ -72,5 +73,5 @@ func (RCM) Relabel(g *graph.Graph) graph.Permutation {
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,18 +38,12 @@ type Registration struct {
 	// Class is the cost class (light, heavy, meta). Consumers should
 	// branch on this instead of hard-coding name lists.
 	Class Class
-	// Accepts lists the option names (OptSeed, OptWindow, ...) the
-	// factory consumes; passing any other option to New is an error.
+	// Accepts lists every spec key the factory reads; the registry
+	// rejects any other key before it calls New.
 	Accepts []string
-	// New builds the algorithm from resolved options.
-	New func(o *Options) Algorithm
-	// Composable, when non-nil, builds the algorithm from a full parsed
-	// Spec instead of just the generic options — the hook that lets a
-	// meta-algorithm consume structured parameters (sub-algorithm names,
-	// detector choice, resolution) from the same spec grammar every
-	// construction surface shares. Spec.New prefers it over New; plain
-	// New(name, opts...) still uses the option factory.
-	Composable func(o *Options, spec Spec) (Algorithm, error)
+	// New builds the algorithm from a parsed spec whose keys are all in
+	// Accepts. Value errors are typed *OptionError.
+	New func(Spec) (Algorithm, error)
 }
 
 // Info is the machine-readable metadata of one registered algorithm, in a
@@ -59,9 +54,16 @@ type Info struct {
 	Description string
 	Class       Class
 	Accepts     []string
-	// Composable reports whether the algorithm takes structured spec
-	// parameters beyond the generic option keys.
-	Composable bool
+}
+
+func (r *Registration) info() Info {
+	return Info{
+		Name:        r.Name,
+		Aliases:     append([]string(nil), r.Aliases...),
+		Description: r.Description,
+		Class:       r.Class,
+		Accepts:     append([]string(nil), r.Accepts...),
+	}
 }
 
 var registry = struct {
@@ -120,15 +122,7 @@ func Registrations() []Info {
 	defer registry.RUnlock()
 	infos := make([]Info, 0, len(registry.names))
 	for _, name := range registry.names {
-		r := registry.byName[name]
-		infos = append(infos, Info{
-			Name:        r.Name,
-			Aliases:     append([]string(nil), r.Aliases...),
-			Description: r.Description,
-			Class:       r.Class,
-			Accepts:     append([]string(nil), r.Accepts...),
-			Composable:  r.Composable != nil,
-		})
+		infos = append(infos, registry.byName[name].info())
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
@@ -143,14 +137,7 @@ func Lookup(name string) (Info, bool) {
 	if r == nil {
 		return Info{}, false
 	}
-	return Info{
-		Name:        r.Name,
-		Aliases:     append([]string(nil), r.Aliases...),
-		Description: r.Description,
-		Class:       r.Class,
-		Accepts:     append([]string(nil), r.Accepts...),
-		Composable:  r.Composable != nil,
-	}, true
+	return r.info(), true
 }
 
 // UnknownAlgorithmError reports a lookup of a name the registry does not
@@ -194,44 +181,27 @@ func lookup(name string) (*Registration, error) {
 	return reg, nil
 }
 
-// resolveOptions applies opts over the defaults and validates them against
-// the registration: every provided option must be accepted by the
-// algorithm AND carry an in-range value.
-func resolveOptions(reg *Registration, name string, opts []Option) (*Options, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(o)
+// New builds the algorithm a spec string describes: a bare name ("go")
+// or name:key=value,... ("go:window=7", "ro:edr=2-100,cachebytes=65536").
+// Malformed specs surface as *SpecError, unknown names as
+// *UnknownAlgorithmError, and keys the algorithm does not accept or
+// out-of-range values as *OptionError.
+func New(spec string) (Algorithm, error) {
+	s, err := ParseSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	accepts := make(map[string]bool, len(reg.Accepts))
-	for _, a := range reg.Accepts {
-		accepts[a] = true
+	reg, err := lookup(s.Name)
+	if err != nil {
+		return nil, err
 	}
-	for provided := range o.provided {
-		if !accepts[provided] {
-			return nil, &OptionError{Alg: name, Option: provided,
+	for _, p := range s.Params {
+		if !slices.Contains(reg.Accepts, p.Key) {
+			return nil, &OptionError{Alg: s.Name, Option: p.Key,
 				Reason: "accepts: " + acceptsList(reg.Accepts)}
 		}
 	}
-	if err := o.validate(name); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// New builds the named algorithm with the given options. Unknown names
-// surface as *UnknownAlgorithmError; options the algorithm does not
-// accept, or accepted options with out-of-range values, surface as
-// *OptionError.
-func New(name string, opts ...Option) (Algorithm, error) {
-	reg, err := lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	o, err := resolveOptions(reg, name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return reg.New(o), nil
+	return reg.New(s)
 }
 
 func acceptsList(accepts []string) string {
@@ -244,9 +214,9 @@ func acceptsList(accepts []string) string {
 }
 
 // MustNew is New that panics on error; intended for static algorithm sets
-// over built-in names.
-func MustNew(name string, opts ...Option) Algorithm {
-	alg, err := New(name, opts...)
+// over built-in specs.
+func MustNew(spec string) Algorithm {
+	alg, err := New(spec)
 	if err != nil {
 		panic(err)
 	}

@@ -14,21 +14,23 @@
 //
 //	Reorder(ctx, g) (graph.Permutation, error)
 //
-// The heavy algorithms (SlashBurn, GOrder, Rabbit-Order, Hybrid) poll ctx
-// and return a valid partial permutation wrapping runctl.ErrCanceled when
-// it dies mid-run. Cheap combinatorial orderings implement the ContextFree
-// interface instead and are adapted with Wrap (or the Legacy struct), so
-// callers never type-assert for cancelability.
+// The heavy algorithms (SlashBurn, GOrder, Rabbit-Order, Hybrid, Brew)
+// poll ctx and return a valid partial permutation wrapping
+// runctl.ErrCanceled when it dies mid-run; the cheap combinatorial
+// orderings ignore ctx and never fail.
 //
-// Algorithms are constructed by name through the registry (New, MustNew,
-// List) with functional options (WithSeed, WithWindow, WithEDR,
-// WithCacheBytes); see registry.go and options.go.
+// Algorithms are built from spec strings through the registry — New("go"),
+// New("go:window=7"), MustNew("ro:edr=2-100") — the one grammar every
+// surface shares (see spec.go and registry.go). Name is the algorithm's
+// identity: the default configuration keeps its bare label ("GO") and any
+// other appends its non-default parameters ("GO[window=7]").
 package reorder
 
 import (
 	"context"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 
 	"graphlocality/internal/graph"
@@ -37,38 +39,16 @@ import (
 // Algorithm is a vertex reordering (relabeling) algorithm. Reorder
 // computes the relabeling array for g (old ID → new ID) under ctx:
 // cancelable implementations return the valid partial permutation computed
-// so far together with an error wrapping runctl.ErrCanceled; context-free
-// implementations (adapted via Wrap/Legacy) ignore ctx and never fail.
+// so far together with an error wrapping runctl.ErrCanceled; the others
+// ignore ctx and never fail.
 type Algorithm interface {
-	// Name returns a short identifier ("SB", "GO", "RO", ...).
+	// Name identifies the configuration: "SB", "GO", "RO" for the
+	// defaults, "GO[window=7]" and the like otherwise. Two configurations
+	// that can produce different permutations have different names.
 	Name() string
 	// Reorder computes the relabeling array for g (old ID → new ID).
 	Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation, error)
 }
-
-// ContextFree is a relabeling algorithm with no long-running loops and
-// therefore no cancellation points. Adapt one to Algorithm with Wrap.
-type ContextFree interface {
-	// Name returns a short identifier ("DegSort", "DBG", ...).
-	Name() string
-	// Relabel computes the relabeling array for g (old ID → new ID).
-	Relabel(g *graph.Graph) graph.Permutation
-}
-
-// Legacy adapts a context-free relabeling to the context-first Algorithm
-// interface: Reorder ignores ctx and never returns an error. Construct
-// with Wrap or as Legacy{ContextFree: impl}.
-type Legacy struct {
-	ContextFree
-}
-
-// Reorder implements Algorithm by delegating to the wrapped Relabel.
-func (l Legacy) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
-	return l.ContextFree.Relabel(g), nil
-}
-
-// Wrap adapts a context-free relabeling to the Algorithm interface.
-func Wrap(cf ContextFree) Algorithm { return Legacy{ContextFree: cf} }
 
 // Perm runs alg to completion with a background context and returns just
 // the permutation — a convenience for call sites that cannot be canceled.
@@ -114,53 +94,64 @@ func RunContext(ctx context.Context, alg Algorithm, g *graph.Graph) (Result, err
 	}, err
 }
 
+// plain is the registry factory of a parameterless, stateless algorithm.
+func plain(alg Algorithm) func(Spec) (Algorithm, error) {
+	return func(Spec) (Algorithm, error) { return alg, nil }
+}
+
 func init() {
 	MustRegister(Registration{
 		Name:        "identity",
 		Aliases:     []string{"initial", "bl"},
 		Description: "baseline: keep the initial vertex order",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Identity{} },
+		New:         plain(Identity{}),
 	})
 	MustRegister(Registration{
 		Name:        "random",
 		Description: "uniform shuffle, the locality-destroying control",
 		Class:       ClassLight,
 		Accepts:     []string{OptSeed},
-		New:         func(o *Options) Algorithm { return Wrap(Random{Seed: o.Seed}) },
+		New: func(s Spec) (Algorithm, error) {
+			seed, err := s.uintParam(OptSeed, 1)
+			if err != nil {
+				return nil, err
+			}
+			return Random{Seed: seed}, nil
+		},
 	})
 	MustRegister(Registration{
 		Name:        "degsort",
 		Aliases:     []string{"degree"},
 		Description: "sort all vertices by descending total degree",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(DegreeSort{}) },
+		New:         plain(DegreeSort{}),
 	})
 	MustRegister(Registration{
 		Name:        "hubsort",
 		Aliases:     []string{"hs"},
 		Description: "sort hub vertices by degree, keep the rest in place",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(HubSort{}) },
+		New:         plain(HubSort{}),
 	})
 	MustRegister(Registration{
 		Name:        "hubcluster",
 		Aliases:     []string{"hc"},
 		Description: "pack hubs into low IDs without sorting (sort-free HubSort)",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(HubCluster{}) },
+		New:         plain(HubCluster{}),
 	})
 	MustRegister(Registration{
 		Name:        "dbg",
 		Description: "degree-based grouping into power-of-two degree classes",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(DBG{}) },
+		New:         plain(DBG{}),
 	})
 }
 
 // Identity leaves the graph in its initial order (the paper's baseline
-// "Bl" / "Initial"). It implements Algorithm directly (rather than via
-// Legacy) so callers can recognise it by type and skip relabeling work.
+// "Bl" / "Initial"). Callers recognise it by type and skip relabeling
+// work.
 type Identity struct{}
 
 // Name implements Algorithm.
@@ -177,18 +168,20 @@ type Random struct {
 	Seed uint64
 }
 
-// Name implements ContextFree.
-func (Random) Name() string { return "Random" }
+// Name implements Algorithm.
+func (r Random) Name() string {
+	return label("Random", nameParam{OptSeed, strconv.FormatUint(r.Seed, 10), "1"})
+}
 
-// Relabel implements ContextFree.
-func (r Random) Relabel(g *graph.Graph) graph.Permutation {
+// Reorder implements Algorithm; it cannot fail.
+func (r Random) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	p := graph.Identity(g.NumVertices())
 	rng := splitmix{s: r.Seed}
 	for i := len(p) - 1; i > 0; i-- {
 		j := int(rng.next() % uint64(i+1))
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
+	return p, nil
 }
 
 // splitmix is a tiny local RNG so reorder does not depend on gen.
@@ -206,13 +199,13 @@ func (r *splitmix) next() uint64 {
 // representative "degree-ordering" family SlashBurn generalizes (§IV-A).
 type DegreeSort struct{}
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (DegreeSort) Name() string { return "DegSort" }
 
-// Relabel implements ContextFree.
-func (DegreeSort) Relabel(g *graph.Graph) graph.Permutation {
+// Reorder implements Algorithm; it cannot fail.
+func (DegreeSort) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	order := graph.VerticesByDegreeDesc(g.TotalDegrees())
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }
 
 // HubSort (Faldu et al., IISWC'19) sorts only the hub vertices (total
@@ -220,11 +213,11 @@ func (DegreeSort) Relabel(g *graph.Graph) graph.Permutation {
 // all other vertices in their original relative order.
 type HubSort struct{}
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (HubSort) Name() string { return "HubSort" }
 
-// Relabel implements ContextFree.
-func (HubSort) Relabel(g *graph.Graph) graph.Permutation {
+// Reorder implements Algorithm; it cannot fail.
+func (HubSort) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	deg := g.TotalDegrees()
 	avg := g.AverageDegree() * 2 // total degree averages 2|E|/|V|
 	var hubs, rest []uint32
@@ -242,7 +235,7 @@ func (HubSort) Relabel(g *graph.Graph) graph.Permutation {
 		}
 		return a < b
 	})
-	return orderToPerm(append(hubs, rest...))
+	return orderToPerm(append(hubs, rest...)), nil
 }
 
 // HubCluster packs hub vertices (total degree above average) into the
@@ -250,11 +243,11 @@ func (HubSort) Relabel(g *graph.Graph) graph.Permutation {
 // non-hubs — the sort-free lightweight variant.
 type HubCluster struct{}
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (HubCluster) Name() string { return "HubCluster" }
 
-// Relabel implements ContextFree.
-func (HubCluster) Relabel(g *graph.Graph) graph.Permutation {
+// Reorder implements Algorithm; it cannot fail.
+func (HubCluster) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	deg := g.TotalDegrees()
 	avg := g.AverageDegree() * 2
 	var hubs, rest []uint32
@@ -265,7 +258,7 @@ func (HubCluster) Relabel(g *graph.Graph) graph.Permutation {
 			rest = append(rest, v)
 		}
 	}
-	return orderToPerm(append(hubs, rest...))
+	return orderToPerm(append(hubs, rest...)), nil
 }
 
 // DBG is degree-based grouping (Faldu et al.): vertices are binned into
@@ -273,11 +266,11 @@ func (HubCluster) Relabel(g *graph.Graph) graph.Permutation {
 // degree down, preserving original order within each class.
 type DBG struct{}
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (DBG) Name() string { return "DBG" }
 
-// Relabel implements ContextFree.
-func (DBG) Relabel(g *graph.Graph) graph.Permutation {
+// Reorder implements Algorithm; it cannot fail.
+func (DBG) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	deg := g.TotalDegrees()
 	group := func(d uint32) int {
 		gid := 0
@@ -302,7 +295,7 @@ func (DBG) Relabel(g *graph.Graph) graph.Permutation {
 	for gr := maxG; gr >= 0; gr-- {
 		order = append(order, buckets[gr]...)
 	}
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }
 
 // orderToPerm converts a visiting order (order[i] = old ID of the vertex

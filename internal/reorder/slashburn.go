@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"graphlocality/internal/graph"
@@ -57,8 +58,12 @@ func init() {
 		Description: "SlashBurn: iterative hub removal + GCC ordering (paper §IV-A)",
 		Class:       ClassHeavy,
 		Accepts:     []string{OptCacheBytes},
-		New: func(o *Options) Algorithm {
-			return &SlashBurn{KFraction: 0.02, CacheBytes: o.CacheBytes}
+		New: func(s Spec) (Algorithm, error) {
+			cacheBytes, err := s.uintParam(OptCacheBytes, 0)
+			if err != nil {
+				return nil, err
+			}
+			return &SlashBurn{KFraction: 0.02, CacheBytes: cacheBytes}, nil
 		},
 	})
 	MustRegister(Registration{
@@ -66,21 +71,19 @@ func init() {
 		Aliases:     []string{"slashburn++"},
 		Description: "SlashBurn++: SlashBurn with early stopping at max degree sqrt(|V|)",
 		Class:       ClassHeavy,
-		New: func(*Options) Algorithm {
-			return &SlashBurn{KFraction: 0.02, StopAtSqrtDegree: true}
+		New: func(Spec) (Algorithm, error) {
+			return &SlashBurn{KFraction: 0.02, StopAtSqrtDegree: true}, nil
 		},
 	})
 }
 
 // Name implements Algorithm.
 func (s *SlashBurn) Name() string {
+	base := "SB"
 	if s.StopAtSqrtDegree {
-		return "SB++"
+		base = "SB++"
 	}
-	if s.CacheBytes > 0 {
-		return "SB-CA"
-	}
-	return "SB"
+	return label(base, nameParam{OptCacheBytes, strconv.FormatUint(s.CacheBytes, 10), "0"})
 }
 
 // Iterations returns the number of iterations the last completed Reorder

@@ -16,11 +16,10 @@ import (
 // e.g. "ro", "go:window=7", "ro:edr=2-100,cachebytes=65536",
 // "brew:detect=louvain,hub=hs,dense=ro,else=dbg,resolution=1.0".
 //
-// Generic keys (seed, window, edr, cachebytes) map onto the functional
-// options every algorithm already takes; algorithms registered with a
-// Composable factory additionally consume their own structured keys.
-// Parse with ParseSpec, build with Spec.New (or NewFromSpec for both at
-// once).
+// Each registration lists the keys it accepts; the registry rejects any
+// other key before the algorithm's factory sees the spec. Build with New,
+// which parses and constructs in one step; ParseSpec exposes the grammar
+// alone (serve uses it to canonicalize artifact keys).
 type Spec struct {
 	// Name is the algorithm name as written (canonical name or alias).
 	Name string
@@ -32,16 +31,19 @@ type Spec struct {
 // Param is one key=value spec parameter.
 type Param struct{ Key, Value string }
 
-// Generic spec keys, mapped to the registry's functional options. OptEDR
-// values use the form "min-max" ("2-100"; max 0 = unbounded above).
-var genericSpecKeys = map[string]bool{
-	OptSeed: true, OptWindow: true, OptEDR: true, OptCacheBytes: true,
-}
+// Spec keys shared by several algorithms. OptEDR values use the form
+// "min-max" ("2-100"; max 0 = unbounded above).
+const (
+	OptSeed       = "seed"
+	OptWindow     = "window"
+	OptEDR        = "edr"
+	OptCacheBytes = "cachebytes"
+)
 
 // SpecError reports a malformed spec string (grammar-level: empty name,
 // bad key/value shape, duplicate keys). Errors about what the named
 // algorithm accepts surface as *UnknownAlgorithmError or *OptionError
-// from Spec.New instead.
+// from New instead.
 type SpecError struct {
 	Spec   string
 	Reason string
@@ -88,7 +90,7 @@ func validSpecToken(s string) bool {
 
 // ParseSpec parses an algorithm spec string. It validates the grammar
 // only; whether the name exists and the parameters are meaningful is
-// Spec.New's job (so parsing stays total over the registry's lifetime).
+// New's job (so parsing stays total over the registry's lifetime).
 func ParseSpec(s string) (Spec, error) {
 	in := strings.TrimSpace(s)
 	name, rest, hasParams := strings.Cut(in, ":")
@@ -165,100 +167,78 @@ func (s Spec) Canonical() string {
 // String implements fmt.Stringer as the canonical form.
 func (s Spec) String() string { return s.Canonical() }
 
-// genericOptions converts the spec's generic parameters (seed, window,
-// edr, cachebytes) to functional options, with typed value errors.
-func (s Spec) genericOptions() ([]Option, error) {
-	var opts []Option
-	for _, p := range s.Params {
-		switch p.Key {
-		case OptSeed:
-			v, err := strconv.ParseUint(p.Value, 10, 64)
-			if err != nil {
-				return nil, &OptionError{Alg: s.Name, Option: OptSeed, Value: p.Value,
-					Reason: "want an unsigned integer"}
-			}
-			opts = append(opts, WithSeed(v))
-		case OptWindow:
-			v, err := strconv.Atoi(p.Value)
-			if err != nil {
-				return nil, &OptionError{Alg: s.Name, Option: OptWindow, Value: p.Value,
-					Reason: "want an integer"}
-			}
-			opts = append(opts, WithWindow(v))
-		case OptCacheBytes:
-			v, err := strconv.ParseUint(p.Value, 10, 64)
-			if err != nil {
-				return nil, &OptionError{Alg: s.Name, Option: OptCacheBytes, Value: p.Value,
-					Reason: "want an unsigned integer"}
-			}
-			opts = append(opts, WithCacheBytes(v))
-		case OptEDR:
-			lo, hi, ok := strings.Cut(p.Value, "-")
-			if !ok {
-				return nil, &OptionError{Alg: s.Name, Option: OptEDR, Value: p.Value,
-					Reason: `want "min-max" (max 0 = unbounded)`}
-			}
-			min, err1 := strconv.ParseUint(lo, 10, 32)
-			max, err2 := strconv.ParseUint(hi, 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, &OptionError{Alg: s.Name, Option: OptEDR, Value: p.Value,
-					Reason: "degree bounds must be unsigned 32-bit integers"}
-			}
-			opts = append(opts, WithEDR(uint32(min), uint32(max)))
-		}
+// uintParam returns key's value as an unsigned integer, or def when the
+// spec does not set key.
+func (s Spec) uintParam(key string, def uint64) (uint64, error) {
+	v, ok := s.Get(key)
+	if !ok {
+		return def, nil
 	}
-	return opts, nil
+	u, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, &OptionError{Alg: s.Name, Option: key, Value: v, Reason: "want an unsigned integer"}
+	}
+	return u, nil
 }
 
-// New builds the algorithm the spec describes. Generic parameters are
-// validated exactly like New's functional options (typed *OptionError on
-// unknown or out-of-range); parameters beyond the generic set are an
-// error unless the algorithm is registered Composable, in which case the
-// whole spec is handed to its Composable factory.
-func (s Spec) New() (Algorithm, error) {
-	reg, err := lookup(s.Name)
-	if err != nil {
-		return nil, err
+// intParam returns key's value as an integer of at least min, or def when
+// the spec does not set key.
+func (s Spec) intParam(key string, def, min int) (int, error) {
+	v, ok := s.Get(key)
+	if !ok {
+		return def, nil
 	}
-	opts, err := s.genericOptions()
-	if err != nil {
-		return nil, err
+	i, err := strconv.Atoi(v)
+	if err != nil || i < min {
+		return 0, &OptionError{Alg: s.Name, Option: key, Value: v,
+			Reason: fmt.Sprintf("want an integer >= %d", min)}
 	}
-	if reg.Composable != nil {
-		o, err := resolveOptions(reg, s.Name, opts)
-		if err != nil {
-			return nil, err
-		}
-		return reg.Composable(o, s)
-	}
-	for _, p := range s.Params {
-		if !genericSpecKeys[p.Key] {
-			return nil, &OptionError{Alg: s.Name, Option: p.Key,
-				Reason: "accepts: " + acceptsList(reg.Accepts)}
-		}
-	}
-	o, err := resolveOptions(reg, s.Name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return reg.New(o), nil
+	return i, nil
 }
 
-// NewFromSpec parses and builds an algorithm spec in one step.
-func NewFromSpec(spec string) (Algorithm, error) {
-	s, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
+// edrParam returns the OptEDR degree range "min-max" (max 0 = unbounded
+// above), or 0-0 (unrestricted) when the spec does not set it.
+func (s Spec) edrParam() (lo, hi uint32, err error) {
+	v, ok := s.Get(OptEDR)
+	if !ok {
+		return 0, 0, nil
 	}
-	return s.New()
+	minStr, maxStr, ok := strings.Cut(v, "-")
+	if !ok {
+		return 0, 0, &OptionError{Alg: s.Name, Option: OptEDR, Value: v,
+			Reason: `want "min-max" (max 0 = unbounded)`}
+	}
+	min64, err1 := strconv.ParseUint(minStr, 10, 32)
+	max64, err2 := strconv.ParseUint(maxStr, 10, 32)
+	if err1 != nil || err2 != nil {
+		return 0, 0, &OptionError{Alg: s.Name, Option: OptEDR, Value: v,
+			Reason: "degree bounds must be unsigned 32-bit integers"}
+	}
+	if max64 != 0 && min64 > max64 {
+		return 0, 0, &OptionError{Alg: s.Name, Option: OptEDR, Value: v,
+			Reason: "degree range is empty (min > max)"}
+	}
+	return uint32(min64), uint32(max64), nil
 }
 
-// MustNewFromSpec is NewFromSpec that panics on error; intended for
-// static algorithm sets over built-in specs.
-func MustNewFromSpec(spec string) Algorithm {
-	alg, err := NewFromSpec(spec)
-	if err != nil {
-		panic(err)
+// nameParam is one parameter of an algorithm's Name: its spec key, its
+// value in this configuration and its value in the default one.
+type nameParam struct{ key, value, def string }
+
+// label renders an algorithm's identity: the bare label for the default
+// configuration, else "label[k=v,...]" over the non-default parameters in
+// the order given. Two configurations that can produce different
+// permutations must render differently, since the expt session keys its
+// memo, stages and checkpoints on Name.
+func label(base string, params ...nameParam) string {
+	var parts []string
+	for _, p := range params {
+		if p.value != p.def {
+			parts = append(parts, p.key+"="+p.value)
+		}
 	}
-	return alg
+	if len(parts) == 0 {
+		return base
+	}
+	return base + "[" + strings.Join(parts, ",") + "]"
 }

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -101,67 +102,82 @@ func TestSpecCanonical(t *testing.T) {
 }
 
 func TestSpecNewGenericOptions(t *testing.T) {
-	alg, err := NewFromSpec("go:window=9")
-	if err != nil || alg.Name() != "GO" {
+	alg, err := New("go:window=9")
+	if err != nil || alg.Name() != "GO[window=9]" {
 		t.Fatalf("go:window=9 -> %v, %v", alg, err)
 	}
 	if g, ok := alg.(*GOrder); !ok || g.Window != 9 {
 		t.Fatalf("window not applied: %#v", alg)
 	}
-	alg, err = NewFromSpec("ro:edr=2-100")
+	alg, err = New("ro:edr=2-100")
 	if err != nil {
 		t.Fatalf("ro:edr=2-100: %v", err)
 	}
 	if ro, ok := alg.(*RabbitOrder); !ok || ro.MinDegree != 2 || ro.MaxDegree != 100 {
 		t.Fatalf("edr not applied: %#v", alg)
 	}
-	alg, err = NewFromSpec("random:seed=42")
+	alg, err = New("random:seed=42")
 	if err != nil {
 		t.Fatalf("random:seed=42: %v", err)
 	}
-	if alg.Name() == "" {
-		t.Fatal("empty name")
+	if r, ok := alg.(Random); !ok || r.Seed != 42 || alg.Name() != "Random[seed=42]" {
+		t.Fatalf("seed not applied: %#v (%s)", alg, alg.Name())
+	}
+	// Cache sizes below one 8-byte entry leave Rabbit-Order uncapped, so
+	// the configuration (and its name) is the default one.
+	if alg := MustNew("ro:cachebytes=7"); alg.Name() != "RO" {
+		t.Errorf("ro:cachebytes=7 Name = %q, want RO", alg.Name())
+	}
+	// A cache of 2^32+1 entries clamps to the largest cap instead of
+	// wrapping around to a one-vertex cap.
+	if ro := MustNew("ro:cachebytes=34359738376").(*RabbitOrder); ro.MaxCommunitySize != math.MaxUint32 {
+		t.Errorf("ro:cachebytes=8*(2^32+1) MaxCommunitySize = %d, want %d", ro.MaxCommunitySize, uint32(math.MaxUint32))
 	}
 }
 
 func TestSpecNewErrors(t *testing.T) {
 	var ua *UnknownAlgorithmError
-	if _, err := NewFromSpec("nope"); !errors.As(err, &ua) {
+	if _, err := New("nope"); !errors.As(err, &ua) {
 		t.Errorf("unknown name error = %v, want *UnknownAlgorithmError", err)
 	}
 
 	var oe *OptionError
-	// Malformed value for a generic key.
-	if _, err := NewFromSpec("go:window=tiny"); !errors.As(err, &oe) {
-		t.Errorf("bad window value error = %v, want *OptionError", err)
+	// Value errors: malformed or out of range, each naming its option.
+	for spec, option := range map[string]string{
+		"go:window=tiny":      OptWindow,
+		"go:window=0":         OptWindow,
+		"go:window=-3":        OptWindow,
+		"hybrid:window=0":     OptWindow,
+		"ro:edr=9-3":          OptEDR, // empty degree range
+		"ro:edr=wide":         OptEDR,
+		"ro:edr=1-x":          OptEDR,
+		"ro:edr=1-4294967296": OptEDR, // max beyond 32 bits
+		"ro:cachebytes=-8":    OptCacheBytes,
+		"sb:cachebytes=big":   OptCacheBytes,
+		"random:seed=-1":      OptSeed,
+	} {
+		if _, err := New(spec); !errors.As(err, &oe) {
+			t.Errorf("%s: error = %v, want *OptionError", spec, err)
+		} else if oe.Option != option || oe.Value == "" {
+			t.Errorf("%s: error %q names option %q, want a value error for %q", spec, oe, oe.Option, option)
+		}
 	}
-	// Out-of-range value for a generic key.
-	if _, err := NewFromSpec("go:window=0"); !errors.As(err, &oe) {
-		t.Errorf("window=0 error = %v, want *OptionError", err)
-	} else if !strings.Contains(oe.Error(), "window") {
-		t.Errorf("error %q does not name the option", oe.Error())
+	// Keys the algorithm does not accept.
+	for spec, option := range map[string]string{
+		"identity:window=3": OptWindow,
+		"go:detect=louvain": "detect",
+		"sb++:cachebytes=8": OptCacheBytes,
+		"degsort:seed=1":    OptSeed,
+	} {
+		if _, err := New(spec); !errors.As(err, &oe) {
+			t.Errorf("%s: error = %v, want *OptionError", spec, err)
+		} else if oe.Option != option || oe.Value != "" || !strings.Contains(oe.Error(), "accepts:") {
+			t.Errorf("%s: error %q, want a not-accepted error for %q", spec, oe, option)
+		}
 	}
-	// Empty degree range.
-	if _, err := NewFromSpec("ro:edr=9-3"); !errors.As(err, &oe) {
-		t.Errorf("edr=9-3 error = %v, want *OptionError", err)
-	}
-	// Malformed degree range.
-	if _, err := NewFromSpec("ro:edr=wide"); !errors.As(err, &oe) {
-		t.Errorf("edr=wide error = %v, want *OptionError", err)
-	}
-	// Generic option the algorithm does not accept.
-	if _, err := NewFromSpec("identity:window=3"); !errors.As(err, &oe) {
-		t.Errorf("identity:window error = %v, want *OptionError", err)
-	}
-	// Structured key on a non-composable algorithm.
-	if _, err := NewFromSpec("go:detect=louvain"); !errors.As(err, &oe) {
-		t.Errorf("go:detect error = %v, want *OptionError", err)
-	} else if oe.Option != "detect" {
-		t.Errorf("error names option %q, want detect", oe.Option)
-	}
-	// Parse errors propagate through NewFromSpec.
+	// Parse errors propagate through New.
 	var se *SpecError
-	if _, err := NewFromSpec("go:window=7,"); !errors.As(err, &se) {
+	if _, err := New("go:window=7,"); !errors.As(err, &se) {
 		t.Errorf("trailing comma error = %v, want *SpecError", err)
 	}
 }
@@ -184,6 +200,11 @@ func FuzzParseSpec(f *testing.F) {
 		"go:window=7,window=9",
 		"go:k==v",
 		"x:a=1,b=2,c=3,d=4,e=5",
+		"gorder:window=3",
+		"random:seed=7",
+		"ro:cachebytes=4096,edr=2-50",
+		"brew:seed=0,hub=hs,dense=degree",
+		"boba:workers=2,seed=5",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -218,7 +239,19 @@ func FuzzParseSpec(f *testing.F) {
 		if got := s2.Canonical(); got != canon {
 			t.Fatalf("canonicalization not idempotent: %q -> %q -> %q", in, canon, got)
 		}
-		// Spec.New must never panic regardless of what the fuzzer invents.
-		_, _ = s.New()
+		// New must never panic regardless of what the fuzzer invents, and
+		// whatever it builds, the canonical spec builds under the same
+		// name: artifact stores key on Canonical, sessions on Name.
+		alg, err := New(in)
+		if err != nil {
+			return
+		}
+		alg2, err := New(canon)
+		if err != nil {
+			t.Fatalf("New(%q) succeeded but New(Canonical %q) failed: %v", in, canon, err)
+		}
+		if alg.Name() != alg2.Name() {
+			t.Fatalf("New(%q).Name() = %q but New(%q).Name() = %q", in, alg.Name(), canon, alg2.Name())
+		}
 	})
 }

@@ -75,7 +75,7 @@ func compute(ctx context.Context, req JobRequest) (JobResult, error) {
 	res := JobResult{Vertices: g.NumVertices(), Edges: g.NumEdges()}
 	switch req.Kind {
 	case KindReorder:
-		alg, err := reorder.NewFromSpec(req.Alg)
+		alg, err := reorder.New(req.Alg)
 		if err != nil {
 			return res, badRequestf("%v", err)
 		}
@@ -88,7 +88,7 @@ func compute(ctx context.Context, req JobRequest) (JobResult, error) {
 		res.ReorderMS = float64(r.Elapsed.Microseconds()) / 1000
 	case KindSimulate:
 		if req.Alg != "" {
-			alg, err := reorder.NewFromSpec(req.Alg)
+			alg, err := reorder.New(req.Alg)
 			if err != nil {
 				return res, badRequestf("%v", err)
 			}

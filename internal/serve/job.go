@@ -257,7 +257,7 @@ func ValidateJobRequest(req *JobRequest, limits Limits) error {
 		if err != nil {
 			return badRequestf("%v", err)
 		}
-		if _, err := spec.New(); err != nil {
+		if _, err := reorder.New(req.Alg); err != nil {
 			return badRequestf("%v", err)
 		}
 		req.Alg = spec.Canonical()
